@@ -947,7 +947,7 @@ let faults_overhead () =
   let hardened = Core.Forest_protocol.hardened in
   let plain_msgs = Core.Simulator.local_phase plain g in
   let hard_msgs = Core.Simulator.local_phase hardened g in
-  (match fst (Core.Simulator.run_faulty hardened g) with
+  (match fst (Core.Simulator.run hardened g) with
   | Core.Verdict.Decided (Some h) when Graph.equal g h -> ()
   | _ -> failwith "F1: hardened forest referee not Decided on a clean channel");
   let forest =
@@ -962,7 +962,7 @@ let faults_overhead () =
   let chard_inbox = coalition_inbox chard g ~parts:4 in
   (match
      fst
-       (Core.Coalition.run_faulty chard g
+       (Core.Coalition.run chard g
           ~parts:(Core.Coalition.partition_by_ranges ~n ~parts:4))
    with
   | Core.Verdict.Decided true -> ()
@@ -982,7 +982,7 @@ let faults_degradation () =
   List.map
     (fun rate ->
       let faults = Core.Faults.random ~seed:11 ~n ~crash:rate () in
-      let verdict, t = Core.Simulator.run_faulty ~faults Core.Forest_protocol.hardened g in
+      let verdict, t = Core.Simulator.run ~faults Core.Forest_protocol.hardened g in
       let hits = List.length t.Core.Simulator.faulted_ids in
       let outcome, determined =
         match verdict with

@@ -107,6 +107,15 @@ let graph_file_arg =
 let k_arg =
   Arg.(value & opt int 3 & info [ "k" ] ~docv:"K" ~doc:"Degeneracy budget.")
 
+(* Chunk sizes must be at least 1; anything else is a usage error. *)
+let positive_int =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some k when k >= 1 -> Ok k
+        | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))),
+      Format.pp_print_int )
+
 let source_arg =
   Arg.(
     value
@@ -404,7 +413,7 @@ let faults path proto k parts seed crash truncate flip flip_bits duplicate spoof
     | None -> Format.pp_print_string fmt "rejected"
   in
   with_observability trace metrics (fun sink m ->
-      let run p = Core.Simulator.run_faulty_source ~faults:plan ~trace:sink ?metrics:m p src in
+      let run p = Core.Simulator.run_source ~faults:plan ~trace:sink ?metrics:m p src in
       match proto with
       | `Forest -> report pp_graph (run Core.Forest_protocol.hardened)
       | `Degeneracy -> report pp_graph (run (Core.Degeneracy_protocol.hardened ~k ()))
@@ -413,7 +422,7 @@ let faults path proto k parts seed crash truncate flip flip_bits duplicate spoof
       | `Connectivity ->
         let partition = Core.Coalition.partition_by_ranges ~n ~parts in
         report Format.pp_print_bool
-          (Core.Coalition.run_faulty_source ~faults:plan ~trace:sink ?metrics:m
+          (Core.Coalition.run_source ~faults:plan ~trace:sink ?metrics:m
              Core.Connectivity_parts.hardened src ~parts:partition))
 
 let faults_cmd =
@@ -537,7 +546,7 @@ let bcc path source n_default rounds bandwidth adaptive chunk crash truncate see
         let plan = Core.Faults.random ~seed ~n ~crash ~truncate () in
         Format.printf "fault plan: %a@." Core.Faults.pp plan;
         let verdict, t =
-          Core.Bcc.run_faulty_source ~faults:plan ~trace:sink ?metrics:m
+          Core.Bcc.run_source ~faults:plan ?chunk ~trace:sink ?metrics:m
             (Core.Bcc_connectivity.hardened ~rounds ~bandwidth ())
             src
         in
@@ -590,7 +599,7 @@ let bcc_cmd =
   let chunk =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "chunk" ] ~docv:"K" ~doc:"Stream the referee feed in chunks of $(docv) messages.")
   in
   let rate doc_name doc = Arg.(value & opt float 0. & info [ doc_name ] ~docv:"P" ~doc) in
@@ -702,7 +711,7 @@ let sweep_cmd =
   let chunk =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "chunk" ] ~docv:"C"
           ~doc:
             "Feed the referee in chunks of $(docv) messages: peak live-message storage drops \

@@ -70,25 +70,6 @@ type transcript = {
   faulted_ids : int list;
 }
 
-(* The engine-side view constructor, as in {!Simulator}: one view per
-   node, backed directly by the source's neighbour slice. *)
-let view_of src ~n i =
-  let nbrs, off, len = Graph_source.neighbors_slice src (i + 1) in
-  View.of_slice ~n ~id:(i + 1) nbrs ~off ~len
-
-let maybe_time metrics name f =
-  match metrics with Some m -> Metrics.time m name f | None -> f ()
-
-let observe_source metrics src =
-  match metrics with
-  | None -> ()
-  | Some m ->
-    Metrics.Counter.incr
-      (Metrics.Counter.counter m
-         (Metrics.series "refnet_source_runs_total" [ ("backend", Graph_source.backend src) ]))
-
-let query_total (c : View.counts) = c.id_reads + c.n_reads + c.deg_reads + c.neighbor_reads
-
 (* View audits accumulate across rounds (one view lives through the
    whole run), so per-round [Node_local] events report the delta since
    the previous snapshot. *)
@@ -100,183 +81,32 @@ let sub_counts (a : View.counts) (b : View.counts) : View.counts =
     neighbor_reads = a.neighbor_reads - b.neighbor_reads;
   }
 
-(* Per-round spans are labelled [name[round=r]]; the [src=<backend>]
-   decoration stays outermost — outside [round=] exactly as it sits
-   outside [parts=] for coalitions — so {!Bound_audit.classify_label}
-   peels src first, then the round, and every round audits under the
-   protocol's per-round budget. *)
-let decorated base ~round ~src =
-  let s =
-    match round with None -> base | Some r -> Printf.sprintf "%s[round=%d]" base r
-  in
-  match src with None -> s | Some tok -> Printf.sprintf "%s[src=%s]" s tok
-
 let check_budget ~round ~id ~limit bits =
   if bits > limit then raise (Budget_exceeded { round; id; bits; limit })
 
-let finish_transcript ~rounds ~limit ~per_round_max ~per_round_total ~bcast ~faulted_ids =
-  {
-    rounds;
-    bits_limit = limit;
-    per_round_max_bits = per_round_max;
-    per_round_total_bits = per_round_total;
-    broadcast_bits = bcast;
-    max_bits = Array.fold_left max 0 per_round_max;
-    total_bits = Array.fold_left ( + ) 0 per_round_total;
-    faulted_ids;
-  }
-
-let observe_run metrics ~rounds (t : transcript) =
-  match metrics with
-  | None -> ()
-  | Some m ->
-    Metrics.Counter.add (Metrics.Counter.counter m "refnet_bcc_rounds_total") rounds;
-    Metrics.Counter.incr (Metrics.Counter.counter m "refnet_runs_total");
-    Metrics.Histogram.observe (Metrics.Histogram.histogram m "refnet_run_max_bits") t.max_bits;
-    Metrics.Counter.add (Metrics.Counter.counter m "refnet_run_bits_total") t.total_bits
-
-let observe_broadcast metrics bits =
-  match metrics with
-  | None -> ()
-  | Some m ->
-    Metrics.Histogram.observe (Metrics.Histogram.histogram m "refnet_bcc_broadcast_bits") bits
-
-(* Shared budget-check / stats / per-node observability step, applied in
-   identifier order on the submitting domain after each parallel send
-   batch — the transcript is bit-identical at any width and chunk, and
-   the first budget violation raised is deterministic. *)
-let account ~trace ~metrics ~quiet ~round ~limit ~per_round_max ~per_round_total ~prev
-    ~(states : node_state array) ~id bits =
-  check_budget ~round ~id ~limit bits;
-  if bits > per_round_max.(round - 1) then per_round_max.(round - 1) <- bits;
-  per_round_total.(round - 1) <- per_round_total.(round - 1) + bits;
-  if not quiet then begin
-    let now = View.audit states.(id - 1).view in
-    let delta = sub_counts now prev.(id - 1) in
-    if not (Trace.is_null trace) then
-      Trace.emit trace (Trace.Node_local { id; bits; queries = delta });
-    (match metrics with
-    | Some m ->
-      Metrics.Histogram.observe (Metrics.Histogram.histogram m "refnet_message_bits") bits;
-      Metrics.Histogram.observe
-        (Metrics.Histogram.histogram m "refnet_view_queries")
-        (query_total delta)
-    | None -> ());
-    prev.(id - 1) <- now
-  end
-
-let broadcast_phase ~trace ~metrics ~round ~limit ~bcast ~(states : node_state array) p r rst =
-  let st, reply =
-    maybe_time metrics "refnet_referee_phase" (fun () -> r.r_broadcast ~n:(Array.length states) ~round !rst)
-  in
-  rst := st;
-  let bits = Message.bits reply in
-  check_budget ~round ~id:0 ~limit bits;
-  bcast.(round - 1) <- bits;
-  Trace.emit trace (Trace.Referee_broadcast { round; bits });
-  observe_broadcast metrics bits;
-  for i = 0 to Array.length states - 1 do
-    states.(i) <- p.receive ~round ~broadcast:reply states.(i)
-  done
-
-let run_core ?domains ?chunk ~trace ~metrics ~src (p : 'a t) source =
+(* One loop for every schedule.  Each round goes chunk by chunk — one
+   chunk of [n] when unchunked: compute the chunk's messages in
+   parallel, then on the submitting domain, in identifier order, check
+   their budget, update the stats and observe them (so the transcript is
+   bit-identical at any width and chunk, and the first budget violation
+   raised is deterministic), run them through the channel and absorb
+   them.  The fault plan is re-applied every round, so a crashed id
+   stays crashed; message production — and with it the transcript and
+   the budget check — measures what nodes {e sent}, so an empty plan is
+   bit-identical to no plan. *)
+let run_core ?(faults = Faults.empty) ?domains ?chunk ~entry ~trace ~metrics ~src (p : 'a t) source
+    =
   let n = Graph_source.order source in
-  let limit = check_budget_fields ~entry:"Bcc.run" p.budget ~n in
+  let limit = check_budget_fields ~entry p.budget ~n in
+  let ck = Run_loop.chunk_size ~entry ~n chunk in
   let rounds = p.budget.rounds in
   let quiet = Trace.is_null trace && metrics = None in
-  let outer = decorated p.name ~round:None ~src in
+  Run_loop.observe_source metrics src;
+  let outer = Run_loop.label p.name ~tags:[] ~src in
   Trace.emit trace (Trace.Span_begin { label = outer; n });
   let states =
-    maybe_time metrics "refnet_local_phase" (fun () ->
-        Parallel.init ?domains ?metrics n (fun i -> p.init (view_of source ~n i)))
-  in
-  let prev = if quiet then [||] else Array.map (fun s -> View.audit s.view) states in
-  let per_round_max = Array.make rounds 0 in
-  let per_round_total = Array.make rounds 0 in
-  let bcast = Array.make (max 0 (rounds - 1)) 0 in
-  let ck = match chunk with Some c when c >= 1 && c < n -> c | _ -> max n 1 in
-  let out =
-    match p.referee with
-    | Referee r ->
-      let rst = ref (r.r_init ~n) in
-      for round = 1 to rounds do
-        let rl = decorated p.name ~round:(Some round) ~src in
-        Trace.emit trace (Trace.Span_begin { label = rl; n });
-        (* Blocked schedule within the round: compute [ck] messages in
-           parallel, absorb them in identifier order, release them —
-           O(ck) live messages, bit-identical transcript at every chunk
-           size (same discipline as {!Simulator.run_chunked}). *)
-        let pos = ref 0 in
-        while !pos < n do
-          let b = !pos in
-          let len = min ck (n - b) in
-          let sent =
-            maybe_time metrics "refnet_local_phase" (fun () ->
-                Parallel.init ?domains ?metrics len (fun i -> p.send ~round states.(b + i)))
-          in
-          maybe_time metrics "refnet_referee_phase" (fun () ->
-              for i = 0 to len - 1 do
-                let id = b + i + 1 in
-                let msg, s = sent.(i) in
-                states.(b + i) <- s;
-                let bits = Message.bits msg in
-                account ~trace ~metrics ~quiet ~round ~limit ~per_round_max ~per_round_total
-                  ~prev ~states ~id bits;
-                rst := r.r_absorb ~n ~round !rst ~id msg;
-                if not (Trace.is_null trace) then
-                  Trace.emit trace (Trace.Referee_absorb { id; bits })
-              done);
-          (match metrics with
-          | Some m ->
-            Metrics.Counter.add (Metrics.Counter.counter m "refnet_messages_total") len;
-            Metrics.Counter.add (Metrics.Counter.counter m "refnet_absorbs_total") len
-          | None -> ());
-          pos := b + len
-        done;
-        if round < rounds then
-          broadcast_phase ~trace ~metrics ~round ~limit ~bcast ~states p r rst;
-        Trace.emit trace
-          (Trace.Referee_done
-             {
-               label = rl;
-               n;
-               max_bits = per_round_max.(round - 1);
-               total_bits = per_round_total.(round - 1);
-             });
-        Trace.emit trace (Trace.Span_end { label = rl; n })
-      done;
-      maybe_time metrics "refnet_referee_phase" (fun () -> r.r_finish ~n !rst)
-  in
-  let t = finish_transcript ~rounds ~limit ~per_round_max ~per_round_total ~bcast ~faulted_ids:[] in
-  observe_run metrics ~rounds t;
-  Trace.emit trace
-    (Trace.Referee_done { label = outer; n; max_bits = t.max_bits; total_bits = t.total_bits });
-  Trace.emit trace (Trace.Span_end { label = outer; n });
-  (out, t)
-
-let run ?domains ?chunk ?(trace = Trace.null) ?metrics (p : 'a t) g =
-  run_core ?domains ?chunk ~trace ~metrics ~src:None p (Graph_source.of_graph g)
-
-let run_source ?domains ?chunk ?(trace = Trace.null) ?metrics (p : 'a t) source =
-  observe_source metrics source;
-  run_core ?domains ?chunk ~trace ~metrics ~src:(Some (Graph_source.backend source)) p source
-
-let run_faulty_core ?domains ~faults ~trace ~metrics ~src (p : 'a t) source =
-  (* The plan rewrites each round's uplink delivery schedule; message
-     {e production} — and with it the transcript and the budget check —
-     is untouched, so an empty plan is bit-identical to [run_core]'s
-     output and transcript.  A crashed id stays crashed: the plan is
-     re-applied every round.  Plans address the full vector, so this
-     entry point does not chunk. *)
-  let n = Graph_source.order source in
-  let limit = check_budget_fields ~entry:"Bcc.run_faulty" p.budget ~n in
-  let rounds = p.budget.rounds in
-  let quiet = Trace.is_null trace && metrics = None in
-  let outer = decorated p.name ~round:None ~src in
-  Trace.emit trace (Trace.Span_begin { label = outer; n });
-  let states =
-    maybe_time metrics "refnet_local_phase" (fun () ->
-        Parallel.init ?domains ?metrics n (fun i -> p.init (view_of source ~n i)))
+    Run_loop.maybe_time metrics "refnet_local_phase" (fun () ->
+        Parallel.init ?domains ?metrics n (fun i -> p.init (Run_loop.view_of source ~n i)))
   in
   let prev = if quiet then [||] else Array.map (fun s -> View.audit s.view) states in
   let per_round_max = Array.make rounds 0 in
@@ -287,49 +117,73 @@ let run_faulty_core ?domains ~faults ~trace ~metrics ~src (p : 'a t) source =
     match p.referee with
     | Referee r ->
       let rst = ref (r.r_init ~n) in
+      let absorb ~round id msg = rst := r.r_absorb ~n ~round !rst ~id msg in
       for round = 1 to rounds do
-        let rl = decorated p.name ~round:(Some round) ~src in
+        (* [src=] stays outermost, outside [round=], so
+           {!Bound_audit.classify_label} peels it first and every round
+           audits under the protocol's per-round budget. *)
+        let rl = Run_loop.label p.name ~tags:[ ("round", round) ] ~src in
         Trace.emit trace (Trace.Span_begin { label = rl; n });
-        let sent =
-          maybe_time metrics "refnet_local_phase" (fun () ->
-              Parallel.init ?domains ?metrics n (fun i -> p.send ~round states.(i)))
-        in
-        let msgs = Array.make (max 1 n) Message.empty in
-        for i = 0 to n - 1 do
-          let msg, s = sent.(i) in
-          states.(i) <- s;
-          msgs.(i) <- msg;
-          account ~trace ~metrics ~quiet ~round ~limit ~per_round_max ~per_round_total ~prev
-            ~states ~id:(i + 1) (Message.bits msg)
+        let plan = ref faults and pos = ref 0 in
+        while !pos < n do
+          let b = !pos in
+          let len = min ck (n - b) in
+          let sent =
+            Run_loop.maybe_time metrics "refnet_local_phase" (fun () ->
+                Parallel.init ?domains ?metrics len (fun i -> p.send ~round states.(b + i)))
+          in
+          let msgs =
+            Array.init len (fun i ->
+                let msg, s = sent.(i) in
+                let id = b + i + 1 and bits = Message.bits msg in
+                states.(b + i) <- s;
+                check_budget ~round ~id ~limit bits;
+                per_round_max.(round - 1) <- max per_round_max.(round - 1) bits;
+                per_round_total.(round - 1) <- per_round_total.(round - 1) + bits;
+                if not quiet then begin
+                  let now = View.audit s.view in
+                  let delta = sub_counts now prev.(b + i) in
+                  if not (Trace.is_null trace) then
+                    Trace.emit trace (Trace.Node_local { id; bits; queries = delta });
+                  (match metrics with
+                  | Some m ->
+                    Metrics.Histogram.observe
+                      (Metrics.Histogram.histogram m "refnet_view_queries")
+                      (Run_loop.query_total delta)
+                  | None -> ());
+                  prev.(b + i) <- now
+                end;
+                msg)
+          in
+          Run_loop.observe_messages metrics msgs;
+          let rest, hit =
+            Run_loop.maybe_time metrics "refnet_referee_phase" (fun () ->
+                Run_loop.deliver ~trace ~metrics !plan ~n ~base:b msgs (absorb ~round))
+          in
+          plan := rest;
+          faulted := List.rev_append hit !faulted;
+          pos := b + len
         done;
-        let deliveries, injected = Faults.apply faults (if n = 0 then [||] else msgs) in
-        (match metrics with
-        | Some m when injected <> [] ->
-          Metrics.Counter.add
-            (Metrics.Counter.counter m "refnet_faults_injected_total")
-            (List.length injected)
-        | _ -> ());
-        if not (Trace.is_null trace) then
-          List.iter
-            (fun (id, fault) -> Trace.emit trace (Trace.Fault_injected { id; fault }))
-            injected;
-        faulted := List.rev_append (List.map fst injected) !faulted;
-        maybe_time metrics "refnet_referee_phase" (fun () ->
-            List.iter
-              (fun (id, msg) ->
-                rst := r.r_absorb ~n ~round !rst ~id msg;
-                if not (Trace.is_null trace) then
-                  Trace.emit trace (Trace.Referee_absorb { id; bits = Message.bits msg }))
-              deliveries);
-        (match metrics with
-        | Some m ->
-          Metrics.Counter.add (Metrics.Counter.counter m "refnet_messages_total") n;
-          Metrics.Counter.add
-            (Metrics.Counter.counter m "refnet_absorbs_total")
-            (List.length deliveries)
-        | None -> ());
-        if round < rounds then
-          broadcast_phase ~trace ~metrics ~round ~limit ~bcast ~states p r rst;
+        if round < rounds then begin
+          let st, reply =
+            Run_loop.maybe_time metrics "refnet_referee_phase" (fun () ->
+                r.r_broadcast ~n ~round !rst)
+          in
+          rst := st;
+          let bits = Message.bits reply in
+          check_budget ~round ~id:0 ~limit bits;
+          bcast.(round - 1) <- bits;
+          Trace.emit trace (Trace.Referee_broadcast { round; bits });
+          (match metrics with
+          | Some m ->
+            Metrics.Histogram.observe
+              (Metrics.Histogram.histogram m "refnet_bcc_broadcast_bits")
+              bits
+          | None -> ());
+          for i = 0 to n - 1 do
+            states.(i) <- p.receive ~round ~broadcast:reply states.(i)
+          done
+        end;
         Trace.emit trace
           (Trace.Referee_done
              {
@@ -340,27 +194,36 @@ let run_faulty_core ?domains ~faults ~trace ~metrics ~src (p : 'a t) source =
              });
         Trace.emit trace (Trace.Span_end { label = rl; n })
       done;
-      maybe_time metrics "refnet_referee_phase" (fun () -> r.r_finish ~n !rst)
+      Run_loop.maybe_time metrics "refnet_referee_phase" (fun () -> r.r_finish ~n !rst)
   in
   let t =
-    finish_transcript ~rounds ~limit ~per_round_max ~per_round_total ~bcast
-      ~faulted_ids:(List.sort_uniq Stdlib.compare !faulted)
+    {
+      rounds;
+      bits_limit = limit;
+      per_round_max_bits = per_round_max;
+      per_round_total_bits = per_round_total;
+      broadcast_bits = bcast;
+      max_bits = Array.fold_left max 0 per_round_max;
+      total_bits = Array.fold_left ( + ) 0 per_round_total;
+      faulted_ids = List.sort_uniq Stdlib.compare !faulted;
+    }
   in
-  observe_run metrics ~rounds t;
+  (match metrics with
+  | Some m -> Metrics.Counter.add (Metrics.Counter.counter m "refnet_bcc_rounds_total") rounds
+  | None -> ());
+  Run_loop.observe_transcript metrics ~max_bits:t.max_bits ~total_bits:t.total_bits;
   Trace.emit trace
     (Trace.Referee_done { label = outer; n; max_bits = t.max_bits; total_bits = t.total_bits });
   Trace.emit trace (Trace.Span_end { label = outer; n });
   (out, t)
 
-let run_faulty ?(faults = Faults.empty) ?domains ?(trace = Trace.null) ?metrics (p : 'a t) g =
-  run_faulty_core ?domains ~faults ~trace ~metrics ~src:None p (Graph_source.of_graph g)
+let run ?faults ?domains ?chunk ?(trace = Trace.null) ?metrics (p : 'a t) g =
+  run_core ?faults ?domains ?chunk ~entry:"Bcc.run" ~trace ~metrics ~src:None p
+    (Graph_source.of_graph g)
 
-let run_faulty_source ?(faults = Faults.empty) ?domains ?(trace = Trace.null) ?metrics (p : 'a t)
-    source =
-  observe_source metrics source;
-  run_faulty_core ?domains ~faults ~trace ~metrics
-    ~src:(Some (Graph_source.backend source))
-    p source
+let run_source ?faults ?domains ?chunk ?(trace = Trace.null) ?metrics (p : 'a t) source =
+  run_core ?faults ?domains ?chunk ~entry:"Bcc.run_source" ~trace ~metrics ~src:(Some source) p
+    source
 
 (* ---------- hardening ---------- *)
 

@@ -39,7 +39,7 @@ type budget = { rounds : int; bits_per_round : int -> int }
     here, at construction, rather than surfacing later.
     @raise Invalid_argument if [rounds < 1], naming the field.  The cap
     function can only be validated once [n] is known; {!run} and
-    {!run_faulty} reject [bits_per_round n < 1] at entry, before any
+    {!run_source} reject [bits_per_round n < 1] at entry, before any
     message is produced. *)
 val budget : rounds:int -> bits_per_round:(int -> int) -> budget
 
@@ -114,13 +114,24 @@ type transcript = {
   faulted_ids : int list;
 }
 
-(** [run p g] executes the rounds over the materialized graph.
-    @raise Invalid_argument if [p.budget.rounds < 1] or
-    [p.budget.bits_per_round n < 1], naming the offending field —
-    checked before any message is produced, never reported as a
-    spurious {!Budget_exceeded}.
+(** [run ?faults ?chunk p g] executes the rounds over the materialized
+    graph.
+
+    [?faults] (default {!Faults.empty}) is re-applied to every round's
+    uplink, so a crashed node stays crashed.  The transcript and the
+    budget check measure what nodes {e sent}; the referee sees the
+    post-fault deliveries.  An empty plan is bit-identical to omitting
+    it.  [?chunk] bounds live messages per round to O(chunk); output
+    and transcript are bit-identical for every chunk size, with or
+    without faults.  Within a round, each chunk's [Node_local] events
+    precede its [Fault_injected] and [Referee_absorb] events.
+    @raise Invalid_argument if [p.budget.rounds < 1],
+    [p.budget.bits_per_round n < 1] or [chunk < 1], naming the offending
+    field or argument — checked before any message is produced, never
+    reported as a spurious {!Budget_exceeded}.
     @raise Budget_exceeded when a message breaks the budget. *)
 val run :
+  ?faults:Faults.plan ->
   ?domains:int ->
   ?chunk:int ->
   ?trace:Trace.sink ->
@@ -131,36 +142,11 @@ val run :
 
 (** [run_source p src] is {!run} over any backend; spans and metrics
     carry the [[src=<backend>]] decoration outermost (outside
-    [[round=r]]), and [?chunk] bounds live messages per round to
-    O(chunk) with a bit-identical transcript. *)
+    [[round=r]]). *)
 val run_source :
+  ?faults:Faults.plan ->
   ?domains:int ->
   ?chunk:int ->
-  ?trace:Trace.sink ->
-  ?metrics:Metrics.t ->
-  'a t ->
-  Graph_source.t ->
-  'a * transcript
-
-(** [run_faulty ~faults p g] re-applies the fault plan to every round's
-    uplink (a crashed node stays crashed; the channel is hit once per
-    round).  Message production — and hence the transcript and the
-    budget check — measures what nodes {e sent}; the referee sees the
-    post-fault deliveries.  An empty plan is bit-identical to {!run}.
-    Fault plans address the full message vector, so this entry point
-    does not chunk. *)
-val run_faulty :
-  ?faults:Faults.plan ->
-  ?domains:int ->
-  ?trace:Trace.sink ->
-  ?metrics:Metrics.t ->
-  'a t ->
-  Graph.t ->
-  'a * transcript
-
-val run_faulty_source :
-  ?faults:Faults.plan ->
-  ?domains:int ->
   ?trace:Trace.sink ->
   ?metrics:Metrics.t ->
   'a t ->

@@ -21,8 +21,8 @@ let partition_by_ranges ~n ~parts =
   in
   go 1 1 []
 
-(* Shared local phase of [run]/[run_faulty]: validate the partition and
-   collect the full message vector, one slot per vertex. *)
+(* The local phase: validate the partition and collect the full
+   message vector, one slot per vertex. *)
 let collect (p : 'a t) src ~parts =
   let n = Graph_source.order src in
   (* [owner.(v-1)] is the 1-based index of the coalition holding [v]:
@@ -66,100 +66,16 @@ let collect (p : 'a t) src ~parts =
    coalition bound is O(k·log n) in the number of parts, so offline
    analysis ({!Bound_audit}, [refnet report]) needs [k] recoverable
    from the trace alone. *)
-let labelled p ~parts = Printf.sprintf "%s[parts=%d]" p.name (List.length parts)
+let execute ~faults ~trace ~metrics ~tag (p : 'a t) src ~parts =
+  Run_loop.observe_source metrics tag;
+  Run_loop.one_round ~entry:"Coalition.run" ~chunk:None ~faults ~arrival:None ~trace ~metrics
+    ~label:(Run_loop.label p.name ~tags:[ ("parts", List.length parts) ] ~src:tag)
+    ~n:(Graph_source.order src)
+    ~produce:(fun ~base:_ ~len:_ -> collect p src ~parts)
+    p.referee
 
-(* The backend decoration sits outside [parts=] — outermost — and is
-   peeled first by {!Bound_audit.classify_label}, so source-tagged
-   coalition runs audit under the same O(k log n) budget. *)
-let labelled_src p ~parts src =
-  Printf.sprintf "%s[parts=%d][src=%s]" p.name (List.length parts) (Graph_source.backend src)
+let run ?(faults = Faults.empty) ?(trace = Trace.null) ?metrics p g ~parts =
+  execute ~faults ~trace ~metrics ~tag:None p (Graph_source.of_graph g) ~parts
 
-let observe_source metrics src =
-  match metrics with
-  | None -> ()
-  | Some m ->
-    Metrics.Counter.incr
-      (Metrics.Counter.counter m
-         (Metrics.series "refnet_source_runs_total" [ ("backend", Graph_source.backend src) ]))
-
-let observe_local metrics msgs =
-  match metrics with
-  | None -> ()
-  | Some m ->
-    Metrics.Counter.add (Metrics.Counter.counter m "refnet_messages_total") (Array.length msgs);
-    let bits = Metrics.Histogram.histogram m "refnet_message_bits" in
-    Array.iter (fun msg -> Metrics.Histogram.observe bits (Message.bits msg)) msgs
-
-let observe_transcript metrics (t : Simulator.transcript) =
-  match metrics with
-  | None -> ()
-  | Some m ->
-    Metrics.Counter.incr (Metrics.Counter.counter m "refnet_runs_total");
-    Metrics.Histogram.observe (Metrics.Histogram.histogram m "refnet_run_max_bits") t.max_bits;
-    Metrics.Counter.add (Metrics.Counter.counter m "refnet_run_bits_total") t.total_bits
-
-let maybe_time metrics name f =
-  match metrics with Some m -> Metrics.time m name f | None -> f ()
-
-let run_core ~trace ~metrics ~label (p : 'a t) src ~parts =
-  let n = Graph_source.order src in
-  Trace.emit trace (Trace.Span_begin { label; n });
-  let msgs = maybe_time metrics "refnet_local_phase" (fun () -> collect p src ~parts) in
-  observe_local metrics msgs;
-  let out =
-    maybe_time metrics "refnet_referee_phase" (fun () ->
-        Protocol.run_referee ~trace ?metrics p.referee ~n msgs)
-  in
-  let t = Simulator.transcript_of_messages msgs in
-  observe_transcript metrics t;
-  Trace.emit trace
-    (Trace.Referee_done
-       { label; n; max_bits = t.Simulator.max_bits; total_bits = t.Simulator.total_bits });
-  Trace.emit trace (Trace.Span_end { label; n });
-  (out, t)
-
-let run ?(trace = Trace.null) ?metrics (p : 'a t) g ~parts =
-  run_core ~trace ~metrics ~label:(labelled p ~parts) p (Graph_source.of_graph g) ~parts
-
-let run_source ?(trace = Trace.null) ?metrics (p : 'a t) src ~parts =
-  observe_source metrics src;
-  run_core ~trace ~metrics ~label:(labelled_src p ~parts src) p src ~parts
-
-let run_faulty_core ~faults ~trace ~metrics ~label (p : 'a t) src ~parts =
-  let n = Graph_source.order src in
-  Trace.emit trace (Trace.Span_begin { label; n });
-  let msgs = maybe_time metrics "refnet_local_phase" (fun () -> collect p src ~parts) in
-  observe_local metrics msgs;
-  let deliveries, injected = Faults.apply faults msgs in
-  (match metrics with
-  | Some m when injected <> [] ->
-    Metrics.Counter.add
-      (Metrics.Counter.counter m "refnet_faults_injected_total")
-      (List.length injected)
-  | _ -> ());
-  if not (Trace.is_null trace) then
-    List.iter (fun (id, fault) -> Trace.emit trace (Trace.Fault_injected { id; fault })) injected;
-  let out =
-    maybe_time metrics "refnet_referee_phase" (fun () ->
-        Protocol.feed_deliveries ~trace ?metrics p.referee ~n deliveries)
-  in
-  let t =
-    { (Simulator.transcript_of_messages msgs) with
-      Simulator.faulted_ids = List.map fst injected
-    }
-  in
-  observe_transcript metrics t;
-  Trace.emit trace
-    (Trace.Referee_done
-       { label; n; max_bits = t.Simulator.max_bits; total_bits = t.Simulator.total_bits });
-  Trace.emit trace (Trace.Span_end { label; n });
-  (out, t)
-
-let run_faulty ?(faults = Faults.empty) ?(trace = Trace.null) ?metrics (p : 'a t) g ~parts =
-  run_faulty_core ~faults ~trace ~metrics ~label:(labelled p ~parts) p (Graph_source.of_graph g)
-    ~parts
-
-let run_faulty_source ?(faults = Faults.empty) ?(trace = Trace.null) ?metrics (p : 'a t) src
-    ~parts =
-  observe_source metrics src;
-  run_faulty_core ~faults ~trace ~metrics ~label:(labelled_src p ~parts src) p src ~parts
+let run_source ?(faults = Faults.empty) ?(trace = Trace.null) ?metrics p src ~parts =
+  execute ~faults ~trace ~metrics ~tag:(Some src) p src ~parts

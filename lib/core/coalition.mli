@@ -32,17 +32,20 @@ type 'a t = {
     @raise Invalid_argument if [parts < 1] or [parts > n]. *)
 val partition_by_ranges : n:int -> parts:int -> int list list
 
-(** [run ?trace ?metrics p g ~parts] executes a coalition protocol over
-    the given partition of the vertices; with a live [trace], span,
-    absorb and done events are emitted as in {!Simulator.run} — with the
-    part count baked into the span label as
+(** [run ?faults ?trace ?metrics p g ~parts] executes a coalition
+    protocol over the given partition of the vertices; with a live
+    [trace], span, absorb and done events are emitted as in
+    {!Simulator.run} — with the part count baked into the span label as
     ["name[parts=k]"], so the O(k·log n) coalition bound is auditable
     from the trace alone.  [?metrics] records the same series as
     {!Simulator.run} (minus [refnet_view_queries] — coalition views are
-    pooled, not per-node audited).
+    pooled, not per-node audited).  [?faults] is the channel of
+    {!Simulator.run}, applied to the per-member messages; an empty plan
+    (the default) is bit-identical to omitting it.
     @raise Invalid_argument if [parts] does not partition [1..n] or the
     local function mislabels a message. *)
 val run :
+  ?faults:Faults.plan ->
   ?trace:Trace.sink ->
   ?metrics:Metrics.t ->
   'a t ->
@@ -58,32 +61,6 @@ val run :
     [refnet_source_runs_total\{backend="..."\}] is bumped when metrics
     are on. *)
 val run_source :
-  ?trace:Trace.sink ->
-  ?metrics:Metrics.t ->
-  'a t ->
-  Refnet_graph.Graph_source.t ->
-  parts:int list list ->
-  'a * Simulator.transcript
-
-(** [run_faulty ?faults ?trace ?metrics p g ~parts] is {!run} with a fault plan
-    applied between the pooled local phase and the referee, exactly as
-    in {!Simulator.run_faulty}: per-member messages are computed
-    honestly, then the channel applies [faults] ({!Faults.apply}),
-    [Fault_injected] events fire per in-scope plan entry, and the
-    transcript's [faulted_ids] records the hit ids.  An empty plan is
-    bit-identical to {!run}. *)
-val run_faulty :
-  ?faults:Faults.plan ->
-  ?trace:Trace.sink ->
-  ?metrics:Metrics.t ->
-  'a t ->
-  Refnet_graph.Graph.t ->
-  parts:int list list ->
-  'a * Simulator.transcript
-
-(** [run_faulty_source] is {!run_faulty} over any backend, with the
-    [\[src=...\]] label decoration of {!run_source}. *)
-val run_faulty_source :
   ?faults:Faults.plan ->
   ?trace:Trace.sink ->
   ?metrics:Metrics.t ->

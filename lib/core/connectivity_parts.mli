@@ -22,7 +22,7 @@
 val decide : bool Coalition.t
 
 (** [hardened] is the crash/corruption-tolerant variant; run it with
-    {!Coalition.run_faulty}.  Shares are {!Message.seal}ed; the referee
+    {!Coalition.run}[ ~faults].  Shares are {!Message.seal}ed; the referee
     unions only authenticated ones.  Clean channel: [Decided] of the
     plain answer.  Under faults the verdict is one-sided: surviving
     shares carry only true edges, so if they already connect the graph

@@ -49,8 +49,6 @@ let of_list entries =
 
 let to_list plan = plan
 
-let find plan id = List.assoc_opt id plan
-
 let ids plan = List.map fst plan
 
 let random ~seed ~n ?(crash = 0.0) ?(truncate = 0.0) ?(flip = 0.0) ?(flip_bits = 1)
@@ -112,29 +110,42 @@ let flip_positions m ps =
     out
   end
 
-let apply plan msgs =
-  let n = Array.length msgs in
-  let deliveries = ref [] and injected = ref [] in
+(* One cursor walk over the sorted plan: once entries for earlier
+   senders are dropped, each sender only checks the plan's head, so a
+   whole vector — or a run of chunks, each resuming from the suffix the
+   previous one returned — costs O(n + |plan|). *)
+let rec drop_below id = function
+  | (j, _) :: rest when j < id -> drop_below id rest
+  | plan -> plan
+
+let apply_chunk plan ~n ~base msgs =
+  let deliveries = ref [] and injected = ref [] and plan = ref (drop_below (base + 1) plan) in
   let deliver id m = deliveries := (id, m) :: !deliveries in
-  for id = 1 to n do
-    let m = msgs.(id - 1) in
-    match find plan id with
-    | None -> deliver id m
-    | Some f ->
-      injected := (id, f) :: !injected;
-      (match f with
-      | Crash -> ()
-      | Truncate keep -> deliver id (truncate_prefix m ~keep)
-      | Flip ps -> deliver id (flip_positions m ps)
-      | Duplicate ->
-        deliver id m;
-        deliver id m
-      | Spoof j ->
-        (* A spoof target outside the live network degenerates to a
-           crash: there is no slot to misdeliver into. *)
-        if j >= 1 && j <= n && j <> id then deliver j m)
-  done;
-  (List.rev !deliveries, List.rev !injected)
+  Array.iteri
+    (fun i m ->
+      let id = base + i + 1 in
+      match !plan with
+      | (j, f) :: rest when j = id ->
+        plan := rest;
+        injected := (id, f) :: !injected;
+        (match f with
+        | Crash -> ()
+        | Truncate keep -> deliver id (truncate_prefix m ~keep)
+        | Flip ps -> deliver id (flip_positions m ps)
+        | Duplicate ->
+          deliver id m;
+          deliver id m
+        | Spoof j ->
+          (* A spoof target outside the live network degenerates to a
+             crash: there is no slot to misdeliver into. *)
+          if j >= 1 && j <= n && j <> id then deliver j m)
+      | _ -> deliver id m)
+    msgs;
+  (List.rev !deliveries, List.rev !injected, !plan)
+
+let apply plan msgs =
+  let deliveries, injected, _ = apply_chunk plan ~n:(Array.length msgs) ~base:0 msgs in
+  (deliveries, injected)
 
 (* ---------- rendering ---------- *)
 

@@ -41,9 +41,6 @@ val of_list : (int * fault) list -> plan
 (** [to_list plan] is the plan's entries in increasing id order. *)
 val to_list : plan -> (int * fault) list
 
-(** [find plan id] is node [id]'s fault, if any. *)
-val find : plan -> int -> fault option
-
 (** [ids plan] is the increasing list of ids the plan touches. *)
 val ids : plan -> int list
 
@@ -78,6 +75,14 @@ val random :
     a crash).  Messages are never mutated in place; tampered deliveries
     are fresh copies. *)
 val apply : plan -> Message.t array -> (int * Message.t) list * (int * fault) list
+
+(** [apply_chunk plan ~n ~base msgs] is {!apply} over one chunk of a
+    network of size [n] ([msgs.(i)] is sender [base + i + 1]'s), plus
+    the plan entries past the chunk.  Walking the chunks in order, each
+    from the previous suffix, gives {!apply}'s result in
+    O(n + |plan|). *)
+val apply_chunk :
+  plan -> n:int -> base:int -> Message.t array -> (int * Message.t) list * (int * fault) list * plan
 
 (** Compact single-token rendering, e.g. ["flip:2,5"] — used by the
     trace layer's JSONL schema. *)

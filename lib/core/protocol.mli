@@ -81,22 +81,19 @@ val finish : 'a feed -> 'a
 (** [run_referee ?trace ?metrics r ~n msgs] folds a full message vector
     in identifier order, emitting one [Referee_absorb] event per
     message.  With [?metrics], bumps counter [refnet_absorbs_total] once
-    per fold and samples absorb latency into histogram
-    [refnet_absorb_ns] on every 64th absorb (clocking each one would
-    swamp the referees' O(1) per-message work).
+    per fold and samples absorb latency as {!absorber} does.
     @raise Invalid_argument if [Array.length msgs <> n]. *)
 val run_referee : ?trace:Trace.sink -> ?metrics:Metrics.t -> 'a referee -> n:int -> Message.t array -> 'a
 
-(** [feed_deliveries ?trace ?metrics r ~n deliveries] folds an explicit
-    delivery list — [(sender id, message)] pairs in arrival order, which
-    need not be identifier order and may (under channel faults) repeat,
-    skip, or forge sender ids.  Instrumentation matches {!run_referee};
-    [refnet_absorbs_total] counts actual deliveries, not [n].  This is
-    the engine's single feeding loop for faulty and asynchronous runs
-    ({!Simulator.run_faulty}, {!Simulator.run_async},
-    {!Coalition.run_faulty}). *)
-val feed_deliveries :
-  ?trace:Trace.sink -> ?metrics:Metrics.t -> 'a referee -> n:int -> (int * Message.t) list -> 'a
+(** [absorber ~metrics r ~n] opens a fold over a network of size [n]
+    for the engine's delivery loops: [absorb id msg] folds one delivery
+    — in any order, possibly repeated, skipped or forged under channel
+    faults — and [finish ()] closes the fold into the output.  With
+    [Some] metrics, absorb latency is sampled into histogram
+    [refnet_absorb_ns] on every 64th delivery (clocking each one would
+    swamp the referees' O(1) per-message work). *)
+val absorber :
+  metrics:Metrics.t option -> 'a referee -> n:int -> (int -> Message.t -> unit) * (unit -> 'a)
 
 (** [apply p ~n msgs] is [run_referee p.referee ~n msgs] — the old
     array-style global, for tests and harnesses that fabricate message

@@ -18,21 +18,29 @@
     [refnet_local_phase] / [refnet_referee_phase] around the two
     phases (plus the {!Parallel} pool timers); histogram
     [refnet_run_max_bits] and counter [refnet_run_bits_total] from the
-    transcript; and (under {!run_faulty}) counter
-    [refnet_faults_injected_total].  Like trace events, metrics are
-    recorded from the calling domain only.  When absent, the
-    uninstrumented fast path runs. *)
+    transcript; histogram [refnet_absorb_ns], sampled on every 64th
+    absorb in every schedule; and (under a non-empty [?faults] plan)
+    counter [refnet_faults_injected_total].  Like trace events, metrics
+    are recorded from the calling domain only.  When absent, the
+    uninstrumented fast path runs.
 
-type transcript = {
+    Every run entry point also takes [?faults] (default {!Faults.empty}):
+    nodes compute honestly, then the channel rewrites their deliveries
+    per the plan ({!Faults.apply}).  One [Fault_injected] event fires
+    per in-scope plan entry, before its chunk's absorbs.  An empty plan
+    is bit-identical to omitting it — output, transcript and event
+    stream — at any [domains] width. *)
+
+type transcript = Run_loop.transcript = {
   n : int;
   message_bits : int array;  (** [message_bits.(i - 1)] for node [i] *)
   max_bits : int;
   total_bits : int;
   faulted_ids : int list;
-      (** sender ids the channel hit during this run ({!run_faulty});
-          [[]] for fault-free entry points.  Message lengths always
-          measure what nodes {e sent}, pre-fault — frugality is a
-          property of the protocol, not of the channel. *)
+      (** sender ids the channel hit, in increasing order.  Message
+          lengths always measure what nodes {e sent}, pre-fault —
+          frugality is a property of the protocol, not of the
+          channel. *)
 }
 
 (** [local_phase ?domains ?trace p g] runs every node's local function,
@@ -65,12 +73,13 @@ val local_phase_source :
   Refnet_graph.Graph_source.t ->
   Message.t array
 
-(** [run ?domains ?trace p g] executes both phases; returns the
+(** [run ?faults ?domains ?trace p g] executes both phases; returns the
     referee's output and the transcript.  The referee absorbs messages
-    in identifier order.  The transcript is byte-identical whatever
-    [domains] is — parallelism is an execution detail, never observable
-    in the model. *)
+    in identifier order, through the channel of [?faults].  The
+    transcript is byte-identical whatever [domains] is — parallelism is
+    an execution detail, never observable in the model. *)
 val run :
+  ?faults:Faults.plan ->
   ?domains:int ->
   ?trace:Trace.sink ->
   ?metrics:Metrics.t ->
@@ -91,44 +100,16 @@ val run :
     them to the streaming referee in identifier order, so peak memory
     is O(c) messages + O(n) ints (the transcript) + the referee state —
     the schedule that lets a million-node implicit source run in a
-    frontier-sized footprint.  Output and transcript are bit-identical
-    for every chunk size; only trace-event interleaving and the
-    per-absorb latency sampling (skipped when chunked) differ.  Default:
-    unchunked (the historical two-phase schedule). *)
+    frontier-sized footprint.  Each chunk's deliveries are its slice of
+    the unchunked channel's, so output and transcript are bit-identical
+    for every chunk size, with or without [?faults]; only the
+    interleaving of trace events differs.  Default: one chunk of [n].
+    @raise Invalid_argument naming [Simulator.run_source] if
+    [chunk < 1]. *)
 val run_source :
+  ?faults:Faults.plan ->
   ?domains:int ->
   ?chunk:int ->
-  ?trace:Trace.sink ->
-  ?metrics:Metrics.t ->
-  'a Protocol.t ->
-  Refnet_graph.Graph_source.t ->
-  'a * transcript
-
-(** [run_faulty ?faults ?domains ?trace p g] is [run] with a
-    deterministic fault plan applied between the two phases: nodes
-    compute honestly, then the channel crashes, truncates, flips,
-    duplicates or re-addresses individual messages per [faults] (see
-    {!Faults.apply}).  One [Fault_injected] event fires per in-scope
-    plan entry, after the local phase and before any absorb; the
-    transcript records the hit ids in [faulted_ids].  With an empty
-    plan the run is bit-identical to [run] — same output, same
-    transcript, same event stream — at any [domains] width. *)
-val run_faulty :
-  ?faults:Faults.plan ->
-  ?domains:int ->
-  ?trace:Trace.sink ->
-  ?metrics:Metrics.t ->
-  'a Protocol.t ->
-  Refnet_graph.Graph.t ->
-  'a * transcript
-
-(** [run_faulty_source] is {!run_faulty} over any backend, with the
-    [\[src=...\]] label decoration of {!run_source}.  Fault plans
-    address the full message vector, so this entry point never
-    chunks. *)
-val run_faulty_source :
-  ?faults:Faults.plan ->
-  ?domains:int ->
   ?trace:Trace.sink ->
   ?metrics:Metrics.t ->
   'a Protocol.t ->
@@ -148,17 +129,6 @@ val run_async :
   ?metrics:Metrics.t ->
   'a Protocol.t ->
   Refnet_graph.Graph.t ->
-  'a * transcript
-
-(** [run_async_source] is {!run_async} over any backend, with the
-    [\[src=...\]] label decoration of {!run_source}. *)
-val run_async_source :
-  ?rng:Random.State.t ->
-  ?domains:int ->
-  ?trace:Trace.sink ->
-  ?metrics:Metrics.t ->
-  'a Protocol.t ->
-  Refnet_graph.Graph_source.t ->
   'a * transcript
 
 (** [transcript_of_messages msgs] summarizes an externally-built message

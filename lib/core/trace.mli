@@ -25,10 +25,10 @@ type event =
   | Referee_absorb of { id : int; bits : int }
       (** the referee consumed node [id]'s message, in arrival order *)
   | Fault_injected of { id : int; fault : Faults.fault }
-      (** the channel hit node [id]'s message ({!Simulator.run_faulty} /
-          {!Coalition.run_faulty}); emitted once per in-scope plan
-          entry, after the local phase and before any absorb — under
-          {!Bcc.run_faulty}, once per plan entry {e per round} *)
+      (** the channel hit node [id]'s message under a [?faults] plan;
+          emitted once per in-scope plan entry, after its chunk's local
+          phase and before that chunk's absorbs — under {!Bcc.run},
+          once per plan entry {e per round} *)
   | Referee_broadcast of { round : int; bits : int }
       (** the {!Bcc} referee closed round [round] with a [bits]-bit
           broadcast heard by every node (absent after the final round,

@@ -9,8 +9,8 @@
     node queried.
 
     Views are cheap to construct and are built in exactly two kinds of
-    places: the execution engine ({!Simulator}, {!Coalition}, {!Bcc})
-    for real nodes, and referee-side oracle simulations
+    places: the execution engine ({!Run_loop}, behind {!Simulator}
+    and {!Bcc}) for real nodes, and referee-side oracle simulations
     ({!Reduction}, {!Bipartite_reduction}, {!Fooling}) for fictitious
     gadget vertices — the paper's requirement that local functions be
     evaluable at {e any} pair [(i, N)], not only pairs arising from an

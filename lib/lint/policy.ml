@@ -22,9 +22,7 @@ let matches path entries =
    locals on fictitious views — exactly the list in view.mli. *)
 let view_builders =
   [
-    "lib/core/simulator.ml" (* engine: one view per real node *);
-    "lib/core/coalition.ml" (* engine: coalition runs *);
-    "lib/core/bcc.ml" (* engine: multi-round views *);
+    "lib/core/run_loop.ml" (* engine: one view per real node, for every run loop *);
     "lib/core/reduction.ml" (* referee-side gadget-vertex probes *);
     "lib/core/bipartite_reduction.ml" (* referee-side gadget-vertex probes *);
     "lib/core/fooling.ml" (* lower-bound harness: evaluates locals on candidate views *);

@@ -331,10 +331,11 @@ let test_budget_validated_at_entry () =
       Core.Bcc.run (quiet_with { Core.Bcc.rounds = 1; bits_per_round = (fun _ -> 0) }) g);
   check_invalid "run cap < 0" ~naming:"bits_per_round" (fun () ->
       Core.Bcc.run (quiet_with { Core.Bcc.rounds = 1; bits_per_round = (fun _ -> -7) }) g);
-  check_invalid "run_faulty rounds = 0" ~naming:"rounds" (fun () ->
-      Core.Bcc.run_faulty (quiet_with { Core.Bcc.rounds = 0; bits_per_round = Core.Bcc.unbounded }) g);
-  check_invalid "run_faulty cap = 0" ~naming:"bits_per_round" (fun () ->
-      Core.Bcc.run_faulty (quiet_with { Core.Bcc.rounds = 1; bits_per_round = (fun _ -> 0) }) g);
+  let src = Graph_source.of_graph g in
+  check_invalid "run_source rounds = 0" ~naming:"rounds" (fun () ->
+      Core.Bcc.run_source (quiet_with { Core.Bcc.rounds = 0; bits_per_round = Core.Bcc.unbounded }) src);
+  check_invalid "run_source cap = 0" ~naming:"bits_per_round" (fun () ->
+      Core.Bcc.run_source (quiet_with { Core.Bcc.rounds = 1; bits_per_round = (fun _ -> 0) }) src);
   (* A valid contract through the same quiet protocol still runs. *)
   let _, t =
     Core.Bcc.run (quiet_with (Core.Bcc.budget ~rounds:1 ~bits_per_round:(Core.Bcc.log_budget ~c:1))) g
@@ -388,7 +389,7 @@ let test_empty_plan_bit_identical () =
   let g = Generators.petersen () in
   let p = Core.Bcc_connectivity.protocol ~rounds:3 ~bandwidth:1 () in
   let out, t = Core.Bcc.run p g in
-  let out', t' = Core.Bcc.run_faulty p g in
+  let out', t' = Core.Bcc.run p g in
   Alcotest.check bool_opt "same output" out out';
   Alcotest.check transcript_eq "same transcript" t t';
   Alcotest.(check (list int)) "no faults" [] t'.Core.Bcc.faulted_ids
@@ -399,7 +400,7 @@ let test_crash_degrades_connected () =
   let g = Generators.path 10 in
   let p = Core.Bcc_connectivity.hardened ~rounds:11 ~bandwidth:1 () in
   let plan = Core.Faults.of_list [ (3, Core.Faults.Crash) ] in
-  let v, t = Core.Bcc.run_faulty ~faults:plan p g in
+  let v, t = Core.Bcc.run ~faults:plan p g in
   (match v with
   | Core.Verdict.Degraded (Some true, report) ->
     Alcotest.(check (list int)) "missing" [ 3 ] report.Core.Verdict.missing
@@ -411,14 +412,14 @@ let test_crash_never_asserts_disconnected () =
      the salvaged answer is withheld. *)
   let p = Core.Bcc_connectivity.hardened ~rounds:3 ~bandwidth:1 () in
   let plan = Core.Faults.of_list [ (1, Core.Faults.Crash) ] in
-  let v, _ = Core.Bcc.run_faulty ~faults:plan p two_triangles in
+  let v, _ = Core.Bcc.run ~faults:plan p two_triangles in
   match v with
   | Core.Verdict.Inconclusive _ -> ()
   | _ -> Alcotest.fail "expected Inconclusive"
 
 let test_clean_channel_decides () =
   let p = Core.Bcc_connectivity.hardened ~rounds:3 ~bandwidth:1 () in
-  match Core.Bcc.run_faulty p two_triangles with
+  match Core.Bcc.run p two_triangles with
   | Core.Verdict.Decided (Some false), _ -> ()
   | _ -> Alcotest.fail "clean channel must yield Decided (Some false)"
 
@@ -432,7 +433,7 @@ let prop_no_wrong_verdict_under_faults =
       let rounds = Core.Bcc_connectivity.rounds_for ~bandwidth ~max_degree:(max_degree_of g) in
       let plan = Core.Faults.random ~seed ~n ~crash:0.3 ~truncate:0.2 () in
       let p = Core.Bcc_connectivity.hardened ~rounds ~bandwidth () in
-      let v, _ = Core.Bcc.run_faulty ~faults:plan p g in
+      let v, _ = Core.Bcc.run ~faults:plan p g in
       match v with
       | Core.Verdict.Decided (Some b) | Core.Verdict.Degraded (Some b, _) ->
         b = Connectivity.is_connected g

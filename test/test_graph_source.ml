@@ -262,16 +262,16 @@ let test_run_source_equivalence () =
         ])
     [ "path:23"; "grid:4x5"; "regular:16:4:7"; "degenerate:21:3:5" ]
 
-let test_run_faulty_source_clean_channel () =
+let test_run_source_empty_fault_plan () =
   let imp = Implicit.parse "path:19" in
   let _, sources = sources_of imp in
   List.iter
     (fun (bname, src) ->
       let reference = Core.Simulator.run_source Core.Forest_protocol.recognize src in
       transcript_eq
-        (bname ^ ": run_faulty_source, empty plan")
+        (bname ^ ": run_source, empty fault plan")
         reference
-        (Core.Simulator.run_faulty_source Core.Forest_protocol.recognize src))
+        (Core.Simulator.run_source ~faults:Core.Faults.empty Core.Forest_protocol.recognize src))
     sources
 
 let test_coalition_run_source_equivalence () =
@@ -360,8 +360,8 @@ let () =
       ( "equivalence",
         [
           Alcotest.test_case "run_source across backends" `Quick test_run_source_equivalence;
-          Alcotest.test_case "run_faulty_source clean channel" `Quick
-            test_run_faulty_source_clean_channel;
+          Alcotest.test_case "run_source empty fault plan" `Quick
+            test_run_source_empty_fault_plan;
           Alcotest.test_case "coalition run_source" `Quick test_coalition_run_source_equivalence;
         ] );
       ( "labels",

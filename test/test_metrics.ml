@@ -157,7 +157,7 @@ let snapshot_json_at_width ~domains g =
   let m = Core.Metrics.create ~clock:(fun () -> 0.) () in
   let _ = Core.Simulator.run ~domains ~metrics:m (Core.Degeneracy_protocol.reconstruct ~k:2 ()) g in
   let _ =
-    Core.Simulator.run_faulty ~domains ~metrics:m
+    Core.Simulator.run ~domains ~metrics:m
       ~faults:(Core.Faults.of_list [ (1, Core.Faults.Crash) ])
       Core.Forest_protocol.hardened g
   in
@@ -218,7 +218,7 @@ let traced_runs trace =
   let _ = Core.Simulator.run ~trace Core.Forest_protocol.reconstruct tree in
   let _ = Core.Simulator.run ~trace (Core.Degeneracy_protocol.reconstruct ~k:3 ()) g in
   let _ =
-    Core.Simulator.run_faulty ~trace
+    Core.Simulator.run ~trace
       ~faults:(Core.Faults.of_list
                  [ (1, Core.Faults.Crash); (2, Core.Faults.Duplicate); (3, Core.Faults.Flip [ 0 ]) ])
       Core.Forest_protocol.hardened g

@@ -281,8 +281,8 @@ let test_trace_balanced_spans () =
       (List.exists (function Core.Trace.Span_begin _ -> true | _ -> false) evs)
   in
   check "run" (fun trace -> ignore (Core.Simulator.run ~trace Core.Forest_protocol.recognize g));
-  check "run_faulty" (fun trace ->
-      ignore (Core.Simulator.run_faulty ~faults ~trace Core.Forest_protocol.hardened g));
+  check "run ~faults" (fun trace ->
+      ignore (Core.Simulator.run ~faults ~trace Core.Forest_protocol.hardened g));
   check "run_async" (fun trace ->
       ignore
         (Core.Simulator.run_async ~rng:(Random.State.make [| 7 |]) ~trace
@@ -291,9 +291,9 @@ let test_trace_balanced_spans () =
       ignore
         (Core.Coalition.run ~trace Core.Connectivity_parts.decide g
            ~parts:(Core.Coalition.partition_by_ranges ~n:12 ~parts:3)));
-  check "coalition run_faulty" (fun trace ->
+  check "coalition run ~faults" (fun trace ->
       ignore
-        (Core.Coalition.run_faulty ~faults ~trace Core.Connectivity_parts.hardened g
+        (Core.Coalition.run ~faults ~trace Core.Connectivity_parts.hardened g
            ~parts:(Core.Coalition.partition_by_ranges ~n:12 ~parts:3)));
   (* The checker itself rejects mismatched and dangling spans. *)
   let b l = Core.Trace.Span_begin { label = l; n = 1 }
