@@ -380,13 +380,53 @@ let experiment_t13 () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* T14: ablation — Newton decoder vs Lemma 3 lookup table               *)
+(* T14: ablation — GF(2^31-1) decoder vs Lemma 3 lookup table          *)
 (* ------------------------------------------------------------------ *)
 
+(* Gates that fail the whole run: set by an experiment, checked once
+   every requested experiment has printed, so a failure exits non-zero
+   without hiding the tables after it. *)
+let gate_failures = ref []
+
+let fail_gate what = gate_failures := what :: !gate_failures
+
+(* Local phase and referee (absorb + finish) of one run, timed apart:
+   the referee of Theorem 5 is serial, so only the first part can scale
+   with pool width. *)
+let split_run ?(domains = 1) (p : 'a Core.Protocol.t) g =
+  let n = Graph.order g in
+  let t0 = Unix.gettimeofday () in
+  let msgs = Core.Simulator.local_phase ~domains p g in
+  let t1 = Unix.gettimeofday () in
+  let feed = ref (Core.Protocol.start p.Core.Protocol.referee ~n) in
+  Array.iteri (fun i m -> feed := Core.Protocol.feed !feed ~id:(i + 1) m) msgs;
+  let out = Core.Protocol.finish !feed in
+  (out, t1 -. t0, Unix.gettimeofday () -. t1)
+
+(* [k] distinct ids drawn uniformly from 1..n, increasing. *)
+let random_set r ~n ~k =
+  let rec draw acc =
+    if List.length acc = k then List.sort compare acc
+    else
+      let v = 1 + Random.State.int r n in
+      draw (if List.mem v acc then acc else v :: acc)
+  in
+  draw []
+
+(* Microseconds per call of [decode] over [rows], best of 3 passes. *)
+let us_per_decode rows decode =
+  let best = ref infinity in
+  for _ = 1 to 3 do
+    let t0 = Unix.gettimeofday () in
+    Array.iter (fun (deg, enc) -> ignore (decode ~deg enc)) rows;
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  1e6 *. !best /. float_of_int (Array.length rows)
+
 let experiment_t14 () =
-  section "T14" "Ablation: Newton-identities decoder vs the Lemma 3 lookup table";
-  Printf.printf "%6s %4s %14s %16s %16s\n" "n" "k" "table entries" "table build(ms)"
-    "decode agree";
+  section "T14" "Ablation: GF(2^31-1) power-sum decoder vs the Lemma 3 lookup table";
+  Printf.printf "%6s %4s %14s %16s %22s %8s\n" "n" "k" "table entries" "table build(ms)"
+    "us/decode table | F_p" "agree";
   let r = rng () in
   List.iter
     (fun (n, k) ->
@@ -402,17 +442,78 @@ let experiment_t14 () =
                 ~k ())
              g)
       in
-      let via_newton =
+      let via_field =
         fst (Core.Simulator.run (Core.Degeneracy_protocol.reconstruct ~k ()) g)
       in
-      Printf.printf "%6d %4d %14d %16.1f %16s\n" n k
+      (* 2000 drawn subsets of size k, decoded both ways. *)
+      let sets = Array.init 2000 (fun _ -> random_set r ~n ~k) in
+      let rows = Array.map (fun ids -> (k, Refnet_algebra.Power_sum.encode ~k ids)) sets in
+      let lookup ~deg enc = Refnet_algebra.Power_sum.Table.lookup table enc ~deg in
+      let decode ~deg enc = Refnet_algebra.Power_sum.decode ~n ~deg enc in
+      let rows_agree =
+        Array.for_all2
+          (fun ids (deg, enc) -> lookup ~deg enc = Some ids && decode ~deg enc = Some ids)
+          sets rows
+      in
+      let agree = via_table = via_field && via_table = Some g && rows_agree in
+      if not agree then fail_gate (Printf.sprintf "T14: decoders disagree at n=%d k=%d" n k);
+      Printf.printf "%6d %4d %14d %16.1f %12.2f | %7.2f %8s\n" n k
         (Refnet_algebra.Power_sum.Table.entries table)
-        build_ms
-        (if via_table = via_newton && via_table = Some g then "yes" else "NO"))
+        build_ms (us_per_decode rows lookup) (us_per_decode rows decode)
+        (if agree then "yes" else "NO"))
     [ (16, 2); (32, 2); (16, 3); (24, 3) ];
   Printf.printf
-    "\n(The table needs O(n^k) space — the Newton decoder removes that wall;\n\
-    \ both are exact by Wright's theorem.)\n"
+    "\n(The table needs O(n^k) space; the field decoder needs none and costs\n\
+    \ O(k^2 log p) per row; both are exact by Wright's theorem.)\n";
+  (* Decode rows alone at every n; the whole protocol only where Graph.t,
+     a dense n^2-bit adjacency, fits: at n = 10^5 the input graph, the
+     referee's builder and its output would take about 1.25 GB each. *)
+  Printf.printf "\nTheorem 5 at k = 5 with the field decoder (n rows of k random ids each):\n";
+  Printf.printf "%8s %14s %16s %14s %8s\n" "n" "us/decode" "local phase(ms)" "referee(ms)" "exact";
+  let k = 5 in
+  let decode_s =
+    List.map
+      (fun n ->
+        let rows =
+          Array.init n (fun _ ->
+              let ids = random_set r ~n ~k in
+              (ids, Refnet_algebra.Power_sum.encode ~k ids))
+        in
+        let t0 = Unix.gettimeofday () in
+        let decoded_all =
+          Array.for_all
+            (fun (ids, enc) -> Refnet_algebra.Power_sum.decode ~n ~deg:k enc = Some ids)
+            rows
+        in
+        let dt = Unix.gettimeofday () -. t0 in
+        let whole =
+          if n > 16384 then None
+          else begin
+            let g = Generators.random_k_degenerate r n ~k in
+            let out, local_s, referee_s =
+              split_run (Core.Degeneracy_protocol.reconstruct ~k ()) g
+            in
+            Some (out = Some g, local_s, referee_s)
+          end
+        in
+        let exact = decoded_all && (match whole with Some (ok, _, _) -> ok | None -> true) in
+        if not exact then fail_gate (Printf.sprintf "T14: decode or reconstruction failed at n=%d" n);
+        let times =
+          match whole with
+          | Some (_, l, rf) -> Printf.sprintf "%16.1f %14.1f" (1000.0 *. l) (1000.0 *. rf)
+          | None -> Printf.sprintf "%16s %14s" "-" "-"
+        in
+        Printf.printf "%8d %14.2f %s %8s\n%!" n (1e6 *. dt /. float_of_int n) times
+          (if exact then "yes" else "NO");
+        (n, dt))
+      [ 2048; 16384; 100_000 ]
+  in
+  match (decode_s, List.rev decode_s) with
+  | (n0, t0) :: _, (n1, t1) :: _ ->
+    Printf.printf "(decoding n rows grows as n^%.2f from n = %d to %d; 1 is linear)\n"
+      (log (t1 /. t0) /. log (float_of_int n1 /. float_of_int n0))
+      n0 n1
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* T15: hardness sweep over subgraph patterns S                         *)
@@ -719,6 +820,7 @@ type scaling_row = { workload : string; params : (string * string) list; times :
 let scaling_degeneracy () =
   let n = 1024 and k = 5 in
   Printf.printf "\nS1: degeneracy reconstruction (T1/T2-style), n=%d, k=%d\n" n k;
+  Printf.printf "  (only the local phase runs on the pool; the referee's decode is serial)\n";
   let g = Generators.random_k_degenerate (rng ()) n ~k in
   let p = Core.Degeneracy_protocol.reconstruct ~k () in
   let reference = Core.Simulator.local_phase ~domains:1 p g in
@@ -732,7 +834,14 @@ let scaling_degeneracy () =
         if out <> Some g || t.Core.Simulator.message_bits <> (Core.Simulator.transcript_of_messages reference).Core.Simulator.message_bits
         then identical := false;
         let dt = time_best ~reps:3 (fun () -> Core.Simulator.run ~domains:d p g) in
-        Printf.printf "  domains=%d  %8.1f ms\n%!" d (1000.0 *. dt);
+        let local_s = ref infinity and referee_s = ref infinity in
+        for _ = 1 to 3 do
+          let _, l, r = split_run ~domains:d p g in
+          local_s := Float.min !local_s l;
+          referee_s := Float.min !referee_s r
+        done;
+        Printf.printf "  domains=%d  %8.1f ms  (local phase %6.1f ms, referee %6.1f ms)\n%!" d
+          (1000.0 *. dt) (1000.0 *. !local_s) (1000.0 *. !referee_s);
         (d, dt))
       widths
   in
@@ -1718,4 +1827,9 @@ let () =
     metrics_bench ();
     graphsource ();
     bcc_bench ());
+  (match !gate_failures with
+  | [] -> ()
+  | failures ->
+    List.iter (Printf.printf "FAILED: %s\n") (List.rev failures);
+    exit 1);
   Printf.printf "\n%s\nAll experiments completed.\n" line

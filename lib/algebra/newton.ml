@@ -12,7 +12,6 @@ let elementary_of_power_sums p_list =
       let term = Bigint.mul e.(m - i) p.(i - 1) in
       acc := if i land 1 = 1 then Bigint.add !acc term else Bigint.sub !acc term
     done;
-    (* lint: allow exn-escape -- divisor is of_int m with m >= 1: structurally nonzero *)
     e.(m) <- Bigint.div_exact !acc (Bigint.of_int m)
   done;
   Array.to_list (Array.sub e 1 d)
@@ -56,15 +55,3 @@ let elementary values =
       done)
     values;
   Array.to_list (Array.sub e 1 d)
-
-let polynomial_from_power_sums p_list =
-  let e = elementary_of_power_sums p_list in
-  let d = List.length e in
-  let coeffs = Array.make (d + 1) Bigint.zero in
-  coeffs.(d) <- Bigint.one;
-  List.iteri
-    (fun i em ->
-      let m = i + 1 in
-      coeffs.(d - m) <- (if m land 1 = 1 then Bigint.neg em else em))
-    e;
-  Poly.of_coeffs coeffs

@@ -11,10 +11,12 @@
     the [e_m] are integers — {!Refnet_bigint.Bigint.div_exact} enforces
     this as a runtime invariant.
 
-    This is what lets the referee decode a power-sum message without the
-    [O(n^k)] lookup table of the paper's Lemma 3: from [p_1..p_d] it
-    recovers [e_1..e_d], forms the monic polynomial whose roots are the
-    neighbour identifiers, and extracts the roots. *)
+    This is the exact-integer reference for the identities: from
+    [p_1..p_d] they recover [e_1..e_d], the coefficients of the monic
+    polynomial whose roots are the neighbour identifiers.  The referee
+    itself runs the same recurrence over {!Field} inside
+    {!Power_sum.decode}, where the divisions by [m] are inverses; tests
+    check both against the direct symmetric functions. *)
 
 open Refnet_bigint
 
@@ -35,8 +37,3 @@ val power_sums : Bigint.t list -> upto:int -> Bigint.t list
 (** [elementary values] computes [[e_1; ...; e_d]] directly by expanding
     the product [(1 + x_1 t)...(1 + x_d t)]; reference implementation. *)
 val elementary : Bigint.t list -> Bigint.t list
-
-(** [polynomial_from_power_sums p] is the monic polynomial
-    [x^d - e_1 x^(d-1) + e_2 x^(d-2) - ...] whose roots are exactly the
-    [d] values underlying the power sums [p = [p_1; ...; p_d]]. *)
-val polynomial_from_power_sums : Bigint.t list -> Poly.t

@@ -76,30 +76,6 @@ let derivative (p : t) : t =
 let from_roots roots =
   List.fold_left (fun acc r -> mul acc (of_coeffs [| Bigint.neg r; Bigint.one |])) one roots
 
-let deflate (p : t) r =
-  (* Synthetic division: p(x) = (x - r) q(x) when p(r) = 0. *)
-  let d = degree p in
-  if d < 1 then invalid_arg "Poly.deflate: degree too small";
-  let q = Array.make d Bigint.zero in
-  let carry = ref p.(d) in
-  for i = d - 1 downto 0 do
-    q.(i) <- !carry;
-    carry := Bigint.add p.(i) (Bigint.mul r !carry)
-  done;
-  if not (Bigint.is_zero !carry) then invalid_arg "Poly.deflate: not a root";
-  normalize q
-
-let integer_roots_in p ~lo ~hi =
-  let rec go p x acc =
-    if x > hi || degree p < 1 then List.rev acc
-    else begin
-      let bx = Bigint.of_int x in
-      if Bigint.is_zero (eval p bx) then go (deflate p bx) (x + 1) (x :: acc)
-      else go p (x + 1) acc
-    end
-  in
-  go p lo []
-
 let pp fmt (p : t) =
   if is_zero p then Format.pp_print_string fmt "0"
   else begin

@@ -1,10 +1,11 @@
 (** Dense univariate polynomials with {!Refnet_bigint.Bigint} coefficients.
 
     Coefficient of [x^i] is stored at index [i]; the representation is
-    canonical (no zero leading coefficient).  These polynomials carry the
-    neighbourhood-decoding step of the degeneracy protocol: the decoder
-    rebuilds the monic polynomial whose roots are the neighbour
-    identifiers. *)
+    canonical (no zero leading coefficient).  These are the exact-integer
+    reference for the degeneracy protocol's neighbourhood polynomial
+    [prod (x - id)]: tests check {!Newton}'s identities against
+    {!from_roots} and {!eval}, while {!Power_sum.decode} builds and
+    splits the same polynomial over {!Field}. *)
 
 open Refnet_bigint
 
@@ -52,15 +53,5 @@ val derivative : t -> t
 
 (** [from_roots roots] is the monic polynomial [prod (x - r)]. *)
 val from_roots : Bigint.t list -> t
-
-(** [deflate p r] divides [p] by [(x - r)].
-    @raise Invalid_argument if [r] is not a root of [p]. *)
-val deflate : t -> Bigint.t -> t
-
-(** [integer_roots_in p ~lo ~hi] is the increasing list of integer roots of
-    [p] in the interval [lo..hi], each listed once, found by trial
-    evaluation with deflation.  Intended for root sets known to be simple,
-    as produced by {!from_roots} over distinct values. *)
-val integer_roots_in : t -> lo:int -> hi:int -> int list
 
 val pp : Format.formatter -> t -> unit

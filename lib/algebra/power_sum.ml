@@ -8,8 +8,11 @@ type encoding = Nat.t array
    of once per node.  Rows are immutable once published through the
    [Atomic.t] (publication creates the happens-before edge that makes the
    cached [Nat.t]s safe to read from any domain); growth is serialized by
-   [memo_mu] and doubles, so rebuilds are logarithmic. *)
+   [memo_mu] and doubles, so rebuilds are logarithmic.  Ids above
+   [max_memo_id] are powered directly: one large id must not materialize
+   a row for every id below it. *)
 let max_memo_pow = 16
+let max_memo_id = 1 lsl 17
 
 let pow_memo : Nat.t array Atomic.t array =
   Array.init max_memo_pow (fun _ -> Atomic.make [||])
@@ -18,7 +21,7 @@ let memo_mu = Mutex.create ()
 
 let pow_id i p =
   if i <= 0 then invalid_arg "Power_sum: non-positive id";
-  if p > max_memo_pow then Nat.pow (Nat.of_int i) p
+  if p > max_memo_pow || i > max_memo_id then Nat.pow (Nat.of_int i) p
   else begin
     let row = Atomic.get pow_memo.(p - 1) in
     if i <= Array.length row then Array.unsafe_get row (i - 1) (* lint: allow referee-totality -- guarded by the bound check on this line *)
@@ -28,7 +31,7 @@ let pow_id i p =
       let result =
         if i <= Array.length row then row.(i - 1)
         else begin
-          let len = max i (2 * Array.length row) in
+          let len = min max_memo_id (max i (2 * Array.length row)) in
           let grown =
             Array.init len (fun j ->
                 if j < Array.length row then row.(j) else Nat.pow (Nat.of_int (j + 1)) p)
@@ -86,22 +89,42 @@ let subtract enc ~id ~upto =
 
 let decode ~n ~deg enc =
   if deg < 0 || deg > Array.length enc then invalid_arg "Power_sum.decode: bad degree";
+  if n >= Field.p then invalid_arg "Power_sum.decode: n must be below Field.p";
   if deg = 0 then Some []
   else begin
-    let sums = List.init deg (fun p -> Bigint.of_nat enc.(p)) in
-    match Newton.polynomial_from_power_sums sums with
-    | poly ->
-      let roots = Poly.integer_roots_in poly ~lo:1 ~hi:n in
-      if List.length roots = deg then begin
-        (* Root extraction can in principle return spurious factorizations
-           for malformed input; re-encode to confirm. *)
+    (* Newton's identities over F_p (valid since p > deg):
+       m e_m = sum_{i=1..m} (-1)^(i-1) e_(m-i) p_i. *)
+    let sums = Array.init deg (fun i -> Field.of_nat enc.(i)) in
+    let e = Array.make (deg + 1) 0 in
+    e.(0) <- 1;
+    for m = 1 to deg do
+      let acc = ref 0 in
+      for i = 1 to m do
+        let term = Field.mul e.(m - i) sums.(i - 1) in
+        acc := if i land 1 = 1 then Field.add !acc term else Field.sub !acc term
+      done;
+      (* lint: allow exn-escape -- 1 <= m <= deg < p, so m is nonzero in the field *)
+      e.(m) <- Field.mul !acc (Field.inv m)
+    done;
+    (* f = x^deg - e_1 x^(deg-1) + e_2 x^(deg-2) - ... *)
+    let f =
+      Array.init (deg + 1) (fun i ->
+          if (deg - i) land 1 = 1 then Field.neg e.(deg - i) else e.(deg - i))
+    in
+    match Field.roots f with
+    | None -> None
+    | Some roots ->
+      let roots = List.sort Stdlib.compare roots in
+      let rec increasing_in_range prev = function
+        | [] -> true
+        | r :: rest -> r > prev && r <= n && increasing_in_range r rest
+      in
+      (* The field only proposes a set; the exact re-encode decides, so a
+         row that merely agrees mod p decodes to None. *)
+      if increasing_in_range 0 roots then
         let check = encode ~k:deg roots in
-        let matches = ref true in
-        Array.iteri (fun p b -> if not (Nat.equal b enc.(p)) then matches := false) check;
-        if !matches then Some roots else None
-      end
+        if Array.for_all2 Nat.equal check (Array.sub enc 0 deg) then Some roots else None
       else None
-    | exception Invalid_argument _ -> None
   end
 
 module Table = struct

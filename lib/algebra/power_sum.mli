@@ -8,9 +8,11 @@
     most [k], so a decoder exists.
 
     Two decoders are provided:
-    - {!decode}, via Newton's identities and integer root extraction
-      ([O(d^2)] bigint operations plus [O(n d)] trial evaluations, no
-      precomputation) — the practical decoder;
+    - {!decode}, over the prime field {!Field} ([p = 2^31 - 1]): Newton's
+      identities on the sums reduced mod [p], then root splitting of the
+      neighbourhood polynomial, then an exact re-encode check —
+      [O(d^2 log p)] field operations on honest rows and no
+      precomputation; the practical decoder;
     - {!Table}, the paper's Lemma 3 lookup table over all subsets of size
       at most [k] ([O(n^k)] space) — feasible only for tiny [n], kept as a
       cross-check oracle. *)
@@ -25,9 +27,9 @@ type encoding = Nat.t array
     [coords] defaults to [k]; passing [coords < k] computes only a prefix
     of the encoding — Algorithm 3 transmits [k] coordinates even from
     nodes whose degree (and hence validation bound) is larger.  Powers
-    [i^p] are memoized process-wide, so across a simulation each power is
-    computed once per graph rather than once per node; the memo is safe
-    to share between domains.
+    [i^p] of ids up to [2^17] are memoized process-wide, so across a
+    simulation each power is computed once per graph rather than once
+    per node; the memo is safe to share between domains.
     @raise Invalid_argument if [ids] has repeats, non-positive entries, or
     more than [k] elements, or if [coords] is negative or exceeds [k]. *)
 val encode : ?coords:int -> k:int -> int list -> encoding
@@ -43,7 +45,28 @@ val subtract : encoding -> id:int -> upto:int -> encoding
     [{1..n}] whose power sums match [enc] (using the first [deg]
     coordinates), as an increasing list.  Returns [None] when no such set
     exists (malformed message).
-    @raise Invalid_argument if [deg] exceeds the length of [enc]. *)
+
+    The first [deg] sums are reduced mod {!Field.p}, Newton's identities
+    give the elementary symmetric functions over the field (dividing by
+    [m <= deg < p]), and {!Field.roots} splits the monic polynomial they
+    define.  The field only proposes a set: it is returned only if its
+    roots lie in [{1..n}] and its {e exact} encoding equals the input, so
+    a forged or malformed row — even one that agrees with a real set's
+    encoding mod [p] — decodes to [None], never to a wrong set.
+
+    {b Completeness.}  Every set of at most two ids decodes.  Larger sets
+    decode whenever the {!Field.shifts} fixed shifts separate their ids,
+    which holds for every pair of ids in [{1..2^16}] (checked
+    exhaustively by the test suite), so [decode] is complete for every
+    [n <= 2^16]; beyond that a miss is possible in principle and yields
+    [None], never a wrong set.
+
+    {b Cost.}  On any input, hostile rows included, [O(deg)] reductions of
+    the sums, then [O(Field.shifts * deg^2 * log p)] field operations,
+    then one exact re-encode of [deg] ids.
+
+    @raise Invalid_argument if [deg] exceeds the length of [enc], or if
+    [n >= Field.p] (ids must be distinct mod [p]). *)
 val decode : n:int -> deg:int -> encoding -> int list option
 
 (** The Lemma 3 table decoder. *)

@@ -22,8 +22,10 @@ open Refnet_algebra
 type decoder = n:int -> deg:int -> Power_sum.encoding -> int list option
 (** How the referee inverts a power-sum encoding. *)
 
-(** [newton_decoder] — Newton identities + integer root extraction; no
-    precomputation, polynomial cost.  The default. *)
+(** [newton_decoder] is {!Power_sum.decode}: Newton's identities and
+    root splitting over GF(2^31 - 1), confirmed by an exact re-encode; no
+    precomputation, [O(k^2 log p)] field operations per row.  The
+    default. *)
 val newton_decoder : decoder
 
 (** [table_decoder table] — the paper's Lemma 3 lookup table.  The table

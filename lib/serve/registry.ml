@@ -85,8 +85,9 @@ let specs =
   [ "count"; "forest"; "degeneracy:<k>"; "bounded:<d>"; "sketch:<seed>" ]
 
 (* Session-size caps.  The bound is whichever bites first: referee state
-   (degeneracy holds an n^2-bit incidence structure), message size, or
-   just sanity for a single one-round session. *)
+   (the degeneracy referee keeps O(n k) power-sum words, but builds its
+   output in a Graph.Builder, a dense n^2-bit adjacency), message size,
+   or just sanity for a single one-round session. *)
 let cap_count = 10_000_000
 let cap_forest = 1_000_000
 let cap_degeneracy = 4_096

@@ -1,3 +1,5 @@
+open Refnet_algebra
+
 type t = { a : int; b : int }
 
 let create rng =

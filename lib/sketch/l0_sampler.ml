@@ -1,3 +1,5 @@
+open Refnet_algebra
+
 type t = { hash : Hash.t; z : int; sketches : One_sparse.t array }
 
 let create ~rng ~levels =

@@ -1,4 +1,5 @@
 open Refnet_bits
+open Refnet_algebra
 
 type t = { z : int; s0 : Field.t; s1 : Field.t; s2 : Field.t }
 

@@ -34,10 +34,21 @@ let test_power_sums_beyond_degree () =
   Alcotest.check big_list "p1..p4" (of_l [ 7; 25; 91; 337 ])
     (Newton.power_sums_of_elementary (Newton.elementary values) ~upto:4)
 
+(* The monic x^d - e_1 x^(d-1) + e_2 x^(d-2) - ... from p_1..p_d: the
+   exact-integer form of the polynomial Power_sum.decode splits mod p. *)
+let polynomial_from_power_sums p =
+  let e = Array.of_list (Newton.elementary_of_power_sums p) in
+  let d = Array.length e in
+  Poly.of_coeffs
+    (Array.init (d + 1) (fun i ->
+         if i = d then Bigint.one
+         else if (d - i) land 1 = 1 then Bigint.neg e.(d - i - 1)
+         else e.(d - i - 1)))
+
 let test_polynomial_from_power_sums () =
   let values = of_l [ 1; 4; 6 ] in
   let p = Newton.power_sums values ~upto:3 in
-  let poly = Newton.polynomial_from_power_sums p in
+  let poly = polynomial_from_power_sums p in
   Alcotest.(check int) "degree" 3 (Poly.degree poly);
   List.iter
     (fun v ->
@@ -69,9 +80,9 @@ let prop_poly_roots_are_values =
     ~count:300 gen_values (fun values ->
       let d = List.length values in
       let p = Newton.power_sums values ~upto:d in
-      let poly = Newton.polynomial_from_power_sums p in
-      let roots = Poly.integer_roots_in poly ~lo:1 ~hi:200 in
-      List.equal Bigint.equal (List.map Bigint.of_int roots) values)
+      let poly = polynomial_from_power_sums p in
+      Poly.equal poly (Poly.from_roots values)
+      && List.for_all (fun v -> Bigint.is_zero (Poly.eval poly v)) values)
 
 let prop_wright_injectivity =
   (* Theorem 4 (Wright): distinct sets have distinct power-sum vectors

@@ -1,4 +1,5 @@
 (* Sketch substrate: field, hashing, 1-sparse recovery, l0 sampling. *)
+open Refnet_algebra
 open Refnet_sketch
 
 let test_field_axioms () =
