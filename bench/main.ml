@@ -465,9 +465,9 @@ let experiment_t14 () =
   Printf.printf
     "\n(The table needs O(n^k) space; the field decoder needs none and costs\n\
     \ O(k^2 log p) per row; both are exact by Wright's theorem.)\n";
-  (* Decode rows alone at every n; the whole protocol only where Graph.t,
-     a dense n^2-bit adjacency, fits: at n = 10^5 the input graph, the
-     referee's builder and its output would take about 1.25 GB each. *)
+  (* Decode rows alone, then the whole protocol (generate, local phase,
+     referee) on a random k-degenerate graph, at every n: Graph.t is
+     O(n + m) words, so n = 10^5 fits as easily as n = 2048. *)
   Printf.printf "\nTheorem 5 at k = 5 with the field decoder (n rows of k random ids each):\n";
   Printf.printf "%8s %14s %16s %14s %8s\n" "n" "us/decode" "local phase(ms)" "referee(ms)" "exact";
   let k = 5 in
@@ -486,24 +486,12 @@ let experiment_t14 () =
             rows
         in
         let dt = Unix.gettimeofday () -. t0 in
-        let whole =
-          if n > 16384 then None
-          else begin
-            let g = Generators.random_k_degenerate r n ~k in
-            let out, local_s, referee_s =
-              split_run (Core.Degeneracy_protocol.reconstruct ~k ()) g
-            in
-            Some (out = Some g, local_s, referee_s)
-          end
-        in
-        let exact = decoded_all && (match whole with Some (ok, _, _) -> ok | None -> true) in
+        let g = Generators.random_k_degenerate r n ~k in
+        let out, local_s, referee_s = split_run (Core.Degeneracy_protocol.reconstruct ~k ()) g in
+        let exact = decoded_all && out = Some g in
         if not exact then fail_gate (Printf.sprintf "T14: decode or reconstruction failed at n=%d" n);
-        let times =
-          match whole with
-          | Some (_, l, rf) -> Printf.sprintf "%16.1f %14.1f" (1000.0 *. l) (1000.0 *. rf)
-          | None -> Printf.sprintf "%16s %14s" "-" "-"
-        in
-        Printf.printf "%8d %14.2f %s %8s\n%!" n (1e6 *. dt /. float_of_int n) times
+        Printf.printf "%8d %14.2f %16.1f %14.1f %8s\n%!" n (1e6 *. dt /. float_of_int n)
+          (1000.0 *. local_s) (1000.0 *. referee_s)
           (if exact then "yes" else "NO");
         (n, dt))
       [ 2048; 16384; 100_000 ]
@@ -1300,8 +1288,8 @@ type gs_scale_row = {
       (** twin transcript bit-identical to the implicit run at this n *)
 }
 
-(* The whole-process high-water mark: the one number the incidence
-   matrix cannot hide behind (at n = 10^6 it alone would be ~125 GB). *)
+(* The whole-process high-water mark: the one number an O(n)-words
+   backend cannot hide a materialized copy behind. *)
 let top_heap_bytes () = 8 * (Gc.stat ()).Gc.top_heap_words
 
 let gs_same (o1, (t1 : Core.Simulator.transcript)) (o2, (t2 : Core.Simulator.transcript)) =
@@ -1310,7 +1298,7 @@ let gs_same (o1, (t1 : Core.Simulator.transcript)) (o2, (t2 : Core.Simulator.tra
 let graphsource_equivalence () =
   Printf.printf
     "\nG1: backend equivalence — forest recognition transcripts must be bit-identical\n\
-    \    on materialized / CSR / implicit, at every chunk size and pool width\n";
+    \    on materialized / implicit, at every chunk size and pool width\n";
   let p = Core.Forest_protocol.recognize in
   List.map
     (fun spec ->
@@ -1329,7 +1317,6 @@ let graphsource_equivalence () =
           check (fun () -> Core.Simulator.run_source ~domains:4 p src))
         [
           ("materialized", Graph_source.of_graph g);
-          ("csr", Graph_source.of_csr (Csr.of_graph g));
           ("implicit", Graph_source.of_implicit imp);
         ];
       Printf.printf "  %-22s n=%4d  transcripts identical: %b\n" spec n !identical;
@@ -1342,8 +1329,9 @@ let graphsource_equivalence () =
 
 (* Peak-heap budget for the n = 10^6 implicit run: the referee tables
    (2 x 8 MB), the transcript (8 MB), the chunk of in-flight messages
-   and GC slack — far under the 125 GB incidence matrix or even the
-   ~60 MB full message vector an unchunked schedule would hold live. *)
+   and GC slack — under even the ~60 MB full message vector an
+   unchunked schedule would hold live.  The materialized twins up to
+   n = 10^5 (CSR arrays, about 3 MB) fit under the same budget. *)
 let gs_heap_budget = 256 * 1024 * 1024
 
 let graphsource_scaling () =
@@ -1406,10 +1394,8 @@ let graphsource_scaling () =
         if not matches then
           failwith (Printf.sprintf "graphsource: %s transcript diverges at n=%d" backend n)
       in
-      (* CSR holds 2m+n+1 words — fine well past 10^5; the incidence
-         matrix is n^2 bits, so the materialized twin stops at 10^4. *)
-      if n <= 100_000 then twin "csr" (fun () -> Graph_source.of_csr (Graph_source.to_csr src));
-      if n <= 10_000 then
+      (* The materialized twin holds 2m + n + 1 words of CSR arrays. *)
+      if n <= 100_000 then
         twin "materialized" (fun () -> Graph_source.of_graph (Graph_source.materialize src)))
     [ 1_000; 10_000; 100_000; 1_000_000 ];
   let rows = List.rev !rows in
@@ -1596,7 +1582,6 @@ let bcc_equivalence () =
           check (fun () -> Core.Bcc.run_source ~domains:4 p src))
         [
           Graph_source.of_graph g;
-          Graph_source.of_csr (Csr.of_graph g);
           Graph_source.of_implicit imp;
         ];
       Printf.printf "  %-22s n=%4d  transcripts identical: %b\n" spec n !identical;

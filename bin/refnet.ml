@@ -122,15 +122,15 @@ let source_arg =
     & opt (some string) None
     & info [ "source" ] ~docv:"SRC"
         ~doc:
-          "Graph backend: $(b,materialized), $(b,csr) (both wrap the GRAPH file), or \
+          "Graph backend: $(b,materialized) (wraps the GRAPH file) or \
            $(b,implicit:<family-spec>) — e.g. implicit:path:100000 or implicit:regular:1000:4:7 \
            — which needs no file at all.  Engine runs record the backend in their span and \
            metrics labels as a [src=...] decoration.")
 
 (* Resolves [--source] against an optional graph file: [materialized]
-   and [csr] wrap the file's graph, [implicit:...] stands alone.
-   Without [--source], the file (when given) is the materialized
-   backend. *)
+   wraps the file's graph, [implicit:...] stands alone, and any other
+   spec is a one-line error naming those two.  Without [--source], the
+   file (when given) is the materialized backend. *)
 let resolve_source source g =
   match (source, g) with
   | None, Some g -> Some (Graph_source.of_graph g)
@@ -493,7 +493,7 @@ let bcc path source n_default rounds bandwidth adaptive chunk crash truncate see
     | None, Some g -> Graph_source.of_graph g
     | Some spec, g -> (
       try Graph_source.parse ?graph:g spec
-      with Invalid_argument _ when g = None ->
+      with Invalid_argument _ when g = None && String.starts_with ~prefix:"implicit:" spec ->
         (* A size-free family spec: instantiate it at the requested n. *)
         Graph_source.of_implicit (Implicit.parse_family spec n_default))
   in
@@ -617,18 +617,21 @@ let bcc_cmd =
    [refnet report]'s bound audit, the metrics file a live snapshot.
    Graphs are seeded per (seed, n), so a sweep is reproducible.
 
-   [--source materialized|csr] routes the same generated graphs through
-   the chosen backend (transcripts are bit-identical; only the [src=]
-   label differs).  [--source implicit:<family>] takes a size-free
+   [--source materialized] routes the same generated graphs through the
+   source engine entry points (transcripts are bit-identical; only the
+   [src=] label differs).  [--source implicit:<family>] takes a size-free
    family spec instead — the family is instantiated at each sweep size
-   without ever materializing, so sizes beyond the incidence-matrix
-   wall (n = 10^6+) are in reach; reconstruction protocols need a known
-   graph class, so the implicit sweep runs the recognition ones. *)
+   without ever materializing, so n = 10^6+ is in reach; reconstruction
+   protocols need a known graph class, so the implicit sweep runs the
+   recognition ones.  Any other spec is rejected before the sweep. *)
 let sweep sizes seed k parts source chunk trace metrics =
   with_observability trace metrics (fun sink m ->
       let implicit_family =
         match source with
-        | Some spec when spec <> "materialized" && spec <> "csr" ->
+        | Some spec when spec <> "materialized" ->
+          (* Reject a non-implicit spec with the accepted ones named. *)
+          if not (String.starts_with ~prefix:"implicit:" spec) then
+            ignore (Graph_source.parse spec);
           Some (fun n -> Implicit.parse_family spec n)
         | _ -> None
       in
@@ -641,10 +644,11 @@ let sweep sizes seed k parts source chunk trace metrics =
               ignore (Core.Simulator.run_source ?chunk ~trace:sink ?metrics:m p src)
             in
             run Core.Forest_protocol.recognize;
-            (* The reconstructing degeneracy referee keeps an n^2-bit
-               matrix and the sketch referee ~log^3 n bits per node:
-               past these sizes only the O(n)-word referees run, which
-               is what makes the million-node sweep fit in memory. *)
+            (* The degeneracy referee keeps k exact power sums per
+               node and rebuilds the graph, the sketch referee ~log^3 n
+               bits per node: past these sizes only the O(1)-words-per-
+               node referees run, which is what makes the million-node
+               sweep fit in memory. *)
             let degeneracy_ok = n <= 20_000 and sketch_ok = n <= 200_000 in
             if degeneracy_ok then run (Core.Recognition.degeneracy_at_most k);
             if sketch_ok then run (Core.Sketch_connectivity.protocol ~seed ());
@@ -704,7 +708,7 @@ let sweep_cmd =
       & opt (some string) None
       & info [ "source" ] ~docv:"SRC"
           ~doc:
-            "Graph backend for the sweep: $(b,materialized), $(b,csr), or a size-free \
+            "Graph backend for the sweep: $(b,materialized) or a size-free \
              $(b,implicit:<family>) spec (implicit:path, implicit:grid, implicit:regular:D, \
              implicit:degenerate:K, ...) instantiated at each size.")
   in

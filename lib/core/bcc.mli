@@ -15,7 +15,7 @@
 
     The engine is re-based on the full execution stack: node inits
     consume {!View.t} slices built from {!Graph_source} backends
-    (materialized / CSR / implicit), send phases fan across the
+    (materialized / implicit), send phases fan across the
     {!Parallel} domain pool, the referee absorbs through a streaming
     per-round {!round_stream} (constant live messages under [?chunk]),
     and every round emits {!Trace} spans and {!Metrics}.  Per-round

@@ -55,7 +55,7 @@ val run :
 
 (** [run_source p src ~parts] is {!run} over any {!Graph_source}
     backend.  The label gains the outermost [\[src=<backend>\]]
-    decoration (["name[parts=k][src=csr]"]) — peeled first by
+    decoration (["name[parts=k][src=materialized]"]) — peeled first by
     {!Bound_audit.classify_label}, so backend-tagged coalition runs
     audit under the same O(k·log n) budget — and counter
     [refnet_source_runs_total\{backend="..."\}] is bumped when metrics

@@ -37,9 +37,8 @@ let absorb ~n st ~id msg =
 (* Leaf-prune over complete (degree, sum) tables; mutates them.  Each
    recovered edge is reported through [on_edge]; returns whether the
    tables were a consistent forest.  Memory beyond the tables is O(n)
-   bits + the queue — in particular no [Graph.Builder] (whose n^2-bit
-   incidence matrix is what caps reconstruction at moderate n; the
-   recognizer below skips it and runs at n = 10^6+). *)
+   bits + the queue — in particular no [Graph.Builder] edge set (the
+   recognizer below skips the output graph altogether). *)
 let prune_tables ~n ~on_edge deg sum =
   let removed = Array.make n false in
   (* Queue of candidate prune points; stale entries are skipped. *)
@@ -83,7 +82,7 @@ let reconstruct : Graph.t option Protocol.t =
   { name = "forest-reconstruct"; local; referee = Protocol.streaming ~init ~absorb ~finish }
 
 (* Same messages, same prune, no reconstruction: the recognizer's
-   referee never allocates an incidence matrix, so its peak memory is
+   referee never builds the output graph, so its peak memory is
    the two int tables — O(n) words at any n.  Output is exactly
    [Option.is_some] of {!reconstruct}'s by construction ([prune_tables]
    is the shared decision procedure). *)

@@ -19,7 +19,7 @@ let transcript_of_bits ~faulted_ids message_bits =
 
 (* The engine-side view constructor: one view record per node, backed
    directly by the source's neighbour slice — zero per-node copies for
-   materialized/CSR backends, one fresh run for implicit ones. *)
+   the materialized backend, one fresh run for implicit ones. *)
 let view_of src ~n i =
   let nbrs, off, len = Graph_source.neighbors_slice src (i + 1) in
   View.of_slice ~n ~id:(i + 1) nbrs ~off ~len

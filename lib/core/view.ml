@@ -16,7 +16,7 @@ type tally = {
 }
 
 (* The neighbour set is a slice [off, off + len) of an int array the
-   view does not own: for materialized/CSR sources that is shared graph
+   view does not own: for materialized sources that is shared graph
    storage (zero copies per node), for implicit sources a fresh
    per-node array.  Accessors never let the array escape, so sharing is
    invisible to local functions. *)

@@ -35,7 +35,7 @@ val make : n:int -> id:int -> neighbors:int list -> t
     [nbrs.(off) .. nbrs.(off + len - 1)] without copying it — the
     allocation-lean path the engine feeds from {!Graph_source} slices
     (one view record per node, zero per-node neighbour copies for
-    materialized/CSR backends).  The view never lets the array escape
+    the materialized backend).  The view never lets the array escape
     and never mutates it; the caller must not mutate it either while
     the view is live.  Subject to the same [view-boundary] lint rule as
     {!make}.

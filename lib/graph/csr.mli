@@ -1,87 +1,15 @@
-(** Compressed sparse row adjacency.
+(** Compressed sparse row adjacency: the storage form of every {!Graph.t}.
 
-    The same labelled simple graphs as {!Graph}, stored as two flat
-    arrays: [row] (n+1 prefix offsets) and [col] (all neighbour
-    identifiers, concatenated in vertex order, each run strictly
-    increasing).  Memory is [O(n + m)] words — no [n^2]-bit incidence
-    matrix — so million-node sparse graphs fit where {!Graph.t} cannot.
+    [Csr.t] is {!Graph.t} — [row] (n+1 prefix offsets) and [col] (all
+    neighbour identifiers, concatenated in vertex order, each run
+    strictly increasing), [O(n + m)] words — and every accessor lives in
+    {!Graph}.  What remains here is the two-pass streaming {!Builder}
+    that {!Gio.graph_of_file} and other streaming producers feed. *)
 
-    Construction never builds an adjacency-set intermediate: degrees are
-    counted first, offsets are prefix sums, and endpoints are written
-    straight into [col] (then each run is sorted and duplicates are
-    collapsed, matching {!Graph.of_edges} semantics).  The two-pass
-    {!Builder} is the streaming entry point {!Gio.csr_of_file} feeds. *)
+type t = Graph.t
 
-type t
-
-(** [of_graph g] converts a materialized graph; [O(n + m)]. *)
-val of_graph : Graph.t -> t
-
-(** [of_edges n edges] builds from an edge list.  Duplicate edges (in
-    either orientation) collapse.
-    @raise Invalid_argument on loops or out-of-range vertices. *)
-val of_edges : int -> (int * int) list -> t
-
-(** Two-pass construction for streaming producers: replay the same edge
-    sequence through {!Builder.count} and then {!Builder.fill}.  Peak
-    memory beyond the final arrays is [O(1)]. *)
-module Builder : sig
-  type csr := t
-  type t
-
-  (** [create n] starts counting degrees for a graph on [1..n].
-      @raise Invalid_argument if [n < 0]. *)
-  val create : int -> t
-
-  (** [count b u v] records one endpoint pair during the first pass.
-      @raise Invalid_argument on loops or out-of-range vertices. *)
-  val count : t -> int -> int -> unit
-
-  (** [freeze b] ends the counting pass: offsets become prefix sums and
-      [col] is allocated.  @raise Invalid_argument if called twice. *)
-  val freeze : t -> unit
-
-  (** [fill b u v] records the same pair during the second pass.
-      @raise Invalid_argument if the pair stream diverges from the
-      counting pass (more edges at a vertex than were counted). *)
-  val fill : t -> int -> int -> unit
-
-  (** [finish b] checks both passes agree, sorts each neighbour run and
-      collapses duplicates.  The builder must not be reused.
-      @raise Invalid_argument if some counted slot was never filled. *)
-  val finish : t -> csr
-end
-
-val order : t -> int
-
-(** [size t] is the number of edges. *)
-val size : t -> int
-
-(** [degree t v]
-    @raise Invalid_argument if [v] is out of range. *)
-val degree : t -> int -> int
-
-(** [has_edge t u v] by binary search in the smaller run; [O(log deg)].
-    @raise Invalid_argument if a vertex is out of range. *)
-val has_edge : t -> int -> int -> bool
-
-(** [iter_neighbors t v f] applies [f] in increasing order, allocation
-    free. *)
-val iter_neighbors : t -> int -> (int -> unit) -> unit
-
-val fold_neighbors : t -> int -> 'a -> ('a -> int -> 'a) -> 'a
-
-(** [neighbors t v] is the increasing neighbour list (allocates; compat
-    accessor). *)
-val neighbors : t -> int -> int list
-
-(** [neighbors_slice t v] is [(col, off, len)]: the neighbour run of [v]
-    inside the shared column array.  Callers must not mutate it. *)
-val neighbors_slice : t -> int -> int array * int * int
-
-(** [iter_edges t f] applies [f u v] to each edge with [u < v]. *)
-val iter_edges : t -> (int -> int -> unit) -> unit
-
-(** [to_graph t] materializes (allocates the [n^2]-bit incidence
-    matrix — small [n] only). *)
-val to_graph : t -> Graph.t
+(** Two-pass construction: replay the same edge sequence through
+    [count] and then [fill], with one [freeze] between the passes and
+    one [finish] at the end.  Peak memory beyond the final arrays is
+    [O(n)] words; never an adjacency-set or edge-list intermediate. *)
+module Builder = Graph.Two_pass

@@ -1,4 +1,18 @@
-open Refnet_bits
+(* [iter_common g u v f] applies [f] to each common neighbour of [u] and
+   [v] in increasing order, merging their sorted neighbour runs. *)
+let iter_common g u v f =
+  let a, i0, da = Graph.neighbors_slice g u and b, j0, db = Graph.neighbors_slice g v in
+  let i = ref i0 and j = ref j0 in
+  while !i < i0 + da && !j < j0 + db do
+    let x = a.(!i) and y = b.(!j) in
+    if x = y then begin
+      f x;
+      incr i;
+      incr j
+    end
+    else if x < y then incr i
+    else incr j
+  done
 
 let find_triangle g =
   let n = Graph.order g in
@@ -6,15 +20,12 @@ let find_triangle g =
   (try
      for u = 1 to n do
        Graph.iter_neighbors g u (fun v ->
-           if v > u then begin
-             let common = Bitvec.inter (Graph.neighborhood g u) (Graph.neighborhood g v) in
-             Bitvec.iter_set common (fun w0 ->
-                 let w = w0 + 1 in
-                 if w > v && !found = None then begin
+           if v > u then
+             iter_common g u v (fun w ->
+                 if w > v then begin
                    found := Some (u, v, w);
                    raise Exit
-                 end)
-           end)
+                 end))
      done
    with Exit -> ());
   !found
@@ -26,10 +37,7 @@ let triangle_count g =
   let count = ref 0 in
   for u = 1 to n do
     Graph.iter_neighbors g u (fun v ->
-        if v > u then begin
-          let common = Bitvec.inter (Graph.neighborhood g u) (Graph.neighborhood g v) in
-          Bitvec.iter_set common (fun w0 -> if w0 + 1 > v then incr count)
-        end)
+        if v > u then iter_common g u v (fun w -> if w > v then incr count))
   done;
   !count
 
@@ -40,14 +48,13 @@ let find_square g =
   (try
      for u = 1 to n do
        for v = u + 1 to n do
-         let common = Bitvec.inter (Graph.neighborhood g u) (Graph.neighborhood g v) in
-         if Bitvec.popcount common >= 2 then begin
-           match Bitvec.to_list common with
-           | a0 :: b0 :: _ ->
-             found := Some (u, a0 + 1, v, b0 + 1);
-             raise Exit
-           | _ -> assert false (* lint: allow referee-totality -- popcount >= 2 guarantees two set bits *)
-         end
+         let first = ref 0 in
+         iter_common g u v (fun w ->
+             if !first = 0 then first := w
+             else begin
+               found := Some (u, !first, v, w);
+               raise Exit
+             end)
        done
      done
    with Exit -> ());

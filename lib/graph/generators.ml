@@ -1,18 +1,9 @@
-let path n =
-  Graph.of_edges n (List.init (max 0 (n - 1)) (fun i -> (i + 1, i + 2)))
-
-let cycle n =
-  if n < 3 then invalid_arg "Generators.cycle: need n >= 3";
-  Graph.of_edges n ((n, 1) :: List.init (n - 1) (fun i -> (i + 1, i + 2)))
-
-let complete n =
-  let b = Graph.Builder.create n in
-  for u = 1 to n do
-    for v = u + 1 to n do
-      Graph.Builder.add_edge b u v
-    done
-  done;
-  Graph.Builder.build b
+(* The closed-form families are defined once, in Implicit; these are
+   their materializations. *)
+let family f = Implicit.materialize (Implicit.make f)
+let path n = family (Implicit.Path n)
+let cycle n = family (Implicit.Cycle n)
+let complete n = family (Implicit.Complete n)
 
 let complete_bipartite a bp =
   let b = Graph.Builder.create (a + bp) in
@@ -23,8 +14,7 @@ let complete_bipartite a bp =
   done;
   Graph.Builder.build b
 
-let star n =
-  Graph.of_edges n (List.init (max 0 (n - 1)) (fun i -> (1, i + 2)))
+let star n = family (Implicit.Star n)
 
 let wheel n =
   if n < 4 then invalid_arg "Generators.wheel: need n >= 4";
@@ -32,17 +22,7 @@ let wheel n =
   let spokes = List.init (n - 1) (fun i -> (1, i + 2)) in
   Graph.of_edges n (rim @ spokes)
 
-let grid w h =
-  if w < 1 || h < 1 then invalid_arg "Generators.grid: need positive sides";
-  let id x y = (y * w) + x + 1 in
-  let b = Graph.Builder.create (w * h) in
-  for y = 0 to h - 1 do
-    for x = 0 to w - 1 do
-      if x + 1 < w then Graph.Builder.add_edge b (id x y) (id (x + 1) y);
-      if y + 1 < h then Graph.Builder.add_edge b (id x y) (id x (y + 1))
-    done
-  done;
-  Graph.Builder.build b
+let grid w h = family (Implicit.Grid (w, h))
 
 let torus w h =
   if w < 3 || h < 3 then invalid_arg "Generators.torus: need sides >= 3";
@@ -56,17 +36,7 @@ let torus w h =
   done;
   Graph.Builder.build b
 
-let hypercube d =
-  if d < 0 then invalid_arg "Generators.hypercube: negative dimension";
-  let n = 1 lsl d in
-  let b = Graph.Builder.create n in
-  for v = 0 to n - 1 do
-    for bit = 0 to d - 1 do
-      let u = v lxor (1 lsl bit) in
-      if u > v then Graph.Builder.add_edge b (v + 1) (u + 1)
-    done
-  done;
-  Graph.Builder.build b
+let hypercube d = family (Implicit.Hypercube d)
 
 let petersen () =
   (* Outer 5-cycle 1..5, inner pentagram 6..10, spokes i -> i+5. *)

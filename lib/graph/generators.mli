@@ -6,6 +6,10 @@
     natural construction order, labels follow it (useful when tests want a
     known elimination order).
 
+    The path, cycle, complete, star, grid and hypercube families are
+    defined once, in {!Implicit}, and materialized here; they raise
+    [Invalid_argument] wherever {!Implicit.make} does.
+
     Degeneracy cheat-sheet (exercised by tests): trees/forests 1, maximal
     outerplanar 2, [k]-trees and Apollonian networks [k] (3), grids 2,
     hypercube of dimension [d] has degeneracy [d]. *)
@@ -31,8 +35,8 @@ val grid : int -> int -> Graph.t
     simple. *)
 val torus : int -> int -> Graph.t
 
-(** [hypercube d] is the [d]-cube on [2^d] vertices; vertex labels are
-    [bits + 1]. *)
+(** [hypercube d] is the [d]-cube on [2^d] vertices ([0 <= d <= 30]);
+    vertex labels are [bits + 1]. *)
 val hypercube : int -> Graph.t
 
 val petersen : unit -> Graph.t

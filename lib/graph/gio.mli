@@ -24,16 +24,11 @@ val of_edge_list : string -> Graph.t
 val iter_edge_list_file :
   string -> header:(n:int -> m:int -> unit) -> edge:(int -> int -> unit) -> unit
 
-(** [csr_of_file path] streams the file twice through {!Csr.Builder},
-    building the flat arrays directly — never an adjacency-set or
-    edge-list intermediate.  Peak memory beyond the final CSR is one
-    input line plus one row's sort scratch ([O(degree peak)]).
-    @raise Invalid_argument on malformed input (with [path:line:]). *)
-val csr_of_file : string -> Csr.t
-
-(** [graph_of_file path] streams once into a {!Graph.Builder} (the
-    [n^2]-bit incidence matrix is still allocated — prefer
-    {!csr_of_file} at large [n]).
+(** [graph_of_file path] streams the file twice through {!Csr.Builder},
+    building the CSR arrays directly — never an edge-set or edge-list
+    intermediate.  Peak memory beyond the graph is one input line plus
+    [O(n)] builder cursors.  The path must name a file that can be read
+    twice (not a pipe).
     @raise Invalid_argument on malformed input (with [path:line:]). *)
 val graph_of_file : string -> Graph.t
 

@@ -1,63 +1,171 @@
-open Refnet_bits
-
-type t = { n : int; adj : Bitvec.t array; nbrs : int array array; m : int }
-(* adj.(v - 1) is the incidence vector of N(v); nbrs.(v - 1) its sorted
-   list form, precomputed because every algorithm iterates neighbourhoods. *)
+type t = { n : int; row : int array; col : int array }
+(* row.(v - 1) .. row.(v) - 1 index the neighbour run of v in col, each
+   run strictly increasing.  row has n + 1 entries and row.(n) = 2m = the
+   length of col, so equal graphs are structurally equal values. *)
 
 let check g v name =
   if v < 1 || v > g.n then invalid_arg ("Graph." ^ name ^ ": vertex out of range")
 
+(* ---------- CSR assembly ---------- *)
+
+(* Sort col.[lo, hi) in O(d log d): short runs by insertion, longer
+   ones through a scratch copy unless they already arrive sorted (as
+   from every in-order producer). *)
+let sort_run col lo hi =
+  if hi - lo <= 16 then
+    for i = lo + 1 to hi - 1 do
+      let x = col.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && col.(!j) > x do
+        col.(!j + 1) <- col.(!j);
+        decr j
+      done;
+      col.(!j + 1) <- x
+    done
+  else begin
+    let i = ref (lo + 1) in
+    while !i < hi && col.(!i - 1) <= col.(!i) do
+      incr i
+    done;
+    if !i < hi then begin
+      let run = Array.sub col lo (hi - lo) in
+      Array.stable_sort Int.compare run;
+      Array.blit run 0 col lo (hi - lo)
+    end
+  end
+
+(* Sort every run, drop repeated entries and compact col / row in
+   place.  A duplicate edge was written into *both* endpoint runs, so
+   dropping repeats keeps the structure symmetric. *)
+let assemble n row col =
+  let write = ref 0 in
+  let lo = ref 0 in
+  for v = 1 to n do
+    let hi = row.(v) in
+    sort_run col !lo hi;
+    row.(v - 1) <- !write;
+    for i = !lo to hi - 1 do
+      if i = !lo || col.(i) <> col.(i - 1) then begin
+        col.(!write) <- col.(i);
+        incr write
+      end
+    done;
+    lo := hi
+  done;
+  row.(n) <- !write;
+  { n; row; col = (if !write = Array.length col then col else Array.sub col 0 !write) }
+
+module Two_pass = struct
+  type graph = t
+  type stage = Counting | Filling | Finished
+
+  type t = {
+    n : int;
+    row : int array; (* counting: degrees (shifted by one); then run starts *)
+    mutable cursor : int array; (* filling: next free slot of each run *)
+    mutable col : int array;
+    mutable stage : stage;
+  }
+
+  let create n =
+    if n < 0 then invalid_arg "Csr.Builder.create: negative order";
+    { n; row = Array.make (n + 1) 0; cursor = [||]; col = [||]; stage = Counting }
+
+  let expect b stage name =
+    if b.stage <> stage then
+      invalid_arg
+        ("Csr.Builder." ^ name
+        ^
+        match b.stage with
+        | Counting -> ": freeze first"
+        | Filling -> ": already frozen"
+        | Finished -> ": already finished")
+
+  let check_pair b u v name =
+    if u < 1 || u > b.n || v < 1 || v > b.n then
+      invalid_arg ("Csr.Builder." ^ name ^ ": vertex out of range");
+    if u = v then invalid_arg ("Csr.Builder." ^ name ^ ": self-loop")
+
+  let count b u v =
+    expect b Counting "count";
+    check_pair b u v "count";
+    b.row.(u) <- b.row.(u) + 1;
+    b.row.(v) <- b.row.(v) + 1
+
+  let freeze b =
+    expect b Counting "freeze";
+    b.stage <- Filling;
+    for v = 1 to b.n do
+      b.row.(v) <- b.row.(v) + b.row.(v - 1)
+    done;
+    b.cursor <- Array.sub b.row 0 (b.n + 1);
+    b.col <- Array.make b.row.(b.n) 0
+
+  let fill_one b u v =
+    let cur = b.cursor.(u - 1) in
+    if cur >= b.row.(u) then invalid_arg "Csr.Builder.fill: more edges than counted at a vertex";
+    b.col.(cur) <- v;
+    b.cursor.(u - 1) <- cur + 1
+
+  let fill b u v =
+    expect b Filling "fill";
+    check_pair b u v "fill";
+    fill_one b u v;
+    fill_one b v u
+
+  (* The graph takes over row and col, so the builder is retired. *)
+  let finish b : graph =
+    expect b Filling "finish";
+    for v = 1 to b.n do
+      if b.cursor.(v - 1) <> b.row.(v) then
+        invalid_arg "Csr.Builder.finish: fill pass saw fewer edges than the counting pass"
+    done;
+    b.stage <- Finished;
+    b.cursor <- [||];
+    assemble b.n b.row b.col
+
+  let of_iter n each =
+    let b = create n in
+    each (count b);
+    freeze b;
+    each (fill b);
+    finish b
+end
+
+module Edge_set = Hashtbl.Make (Int)
+
 module Builder = struct
-  type t = { n : int; adj : Bitvec.t array; mutable m : int }
+  (* Edge {u, v} with u < v is the key u * (n + 1) + v. *)
+  type t = { n : int; edges : unit Edge_set.t }
 
   let create n =
     if n < 0 then invalid_arg "Graph.Builder.create: negative order";
-    { n; adj = Array.init n (fun _ -> Bitvec.create n); m = 0 }
+    { n; edges = Edge_set.create 16 }
 
   let check b v =
     if v < 1 || v > b.n then invalid_arg "Graph.Builder: vertex out of range"
 
+  let key b u v = if u < v then (u * (b.n + 1)) + v else (v * (b.n + 1)) + u
+
   let has_edge b u v =
     check b u;
     check b v;
-    u <> v && Bitvec.get b.adj.(u - 1) (v - 1)
+    u <> v && Edge_set.mem b.edges (key b u v)
 
   let add_edge b u v =
     check b u;
     check b v;
     if u = v then invalid_arg "Graph.Builder.add_edge: self-loop";
-    if not (Bitvec.get b.adj.(u - 1) (v - 1)) then begin
-      Bitvec.set b.adj.(u - 1) (v - 1);
-      Bitvec.set b.adj.(v - 1) (u - 1);
-      b.m <- b.m + 1
-    end
+    Edge_set.replace b.edges (key b u v) ()
 
   let remove_edge b u v =
     check b u;
     check b v;
-    if u <> v && Bitvec.get b.adj.(u - 1) (v - 1) then begin
-      Bitvec.clear b.adj.(u - 1) (v - 1);
-      Bitvec.clear b.adj.(v - 1) (u - 1);
-      b.m <- b.m - 1
-    end
+    if u <> v then Edge_set.remove b.edges (key b u v)
 
   let build b =
-    let adj = Array.map Bitvec.copy b.adj in
-    (* Fill each neighbour array directly from its incidence row: size it
-       by popcount, then write vertices in place during one indexed scan
-       of the set bits — no intermediate lists. *)
-    let nbrs =
-      Array.map
-        (fun row ->
-          let out = Array.make (Bitvec.popcount row) 0 in
-          let idx = ref 0 in
-          Bitvec.iter_set row (fun i ->
-              out.(!idx) <- i + 1;
-              incr idx);
-          out)
-        adj
-    in
-    { n = b.n; adj; nbrs; m = b.m }
+    Two_pass.of_iter b.n (fun pass ->
+        Edge_set.iter (fun k () -> pass (k / (b.n + 1)) (k mod (b.n + 1))) b.edges)
 end
 
 let empty n = Builder.build (Builder.create n)
@@ -68,50 +176,60 @@ let of_edges n edge_list =
   Builder.build b
 
 let order g = g.n
-let size g = g.m
+let size g = g.row.(g.n) / 2
+
+let degree g v =
+  check g v "degree";
+  g.row.(v) - g.row.(v - 1)
 
 let has_edge g u v =
   check g u "has_edge";
   check g v "has_edge";
-  u <> v && Bitvec.get g.adj.(u - 1) (v - 1)
-
-let degree g v =
-  check g v "degree";
-  Array.length g.nbrs.(v - 1)
+  u <> v
+  &&
+  (* Search the shorter run. *)
+  let a, b = if degree g u <= degree g v then (u, v) else (v, u) in
+  let lo = ref g.row.(a - 1) and hi = ref g.row.(a) in
+  let found = ref false in
+  while (not !found) && !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let c = g.col.(mid) in
+    if c = b then found := true else if c < b then lo := mid + 1 else hi := mid
+  done;
+  !found
 
 let neighbors g v =
   check g v "neighbors";
-  Array.to_list g.nbrs.(v - 1)
+  let off = g.row.(v - 1) in
+  List.init (g.row.(v) - off) (fun i -> g.col.(off + i))
 
-let neighbors_row g v =
-  check g v "neighbors_row";
-  g.nbrs.(v - 1)
+let neighbors_slice g v =
+  check g v "neighbors_slice";
+  let off = g.row.(v - 1) in
+  (g.col, off, g.row.(v) - off)
 
 let iter_neighbors g v f =
   check g v "iter_neighbors";
-  let row = g.nbrs.(v - 1) in
-  for i = 0 to Array.length row - 1 do
-    f (Array.unsafe_get row i) (* lint: allow referee-totality -- i < length row by the loop bound; BFS hot path *)
+  for i = g.row.(v - 1) to g.row.(v) - 1 do
+    f (Array.unsafe_get g.col i) (* lint: allow referee-totality -- row offsets lie within col by construction; BFS hot path *)
   done
 
 let fold_neighbors g v init f =
   check g v "fold_neighbors";
-  let row = g.nbrs.(v - 1) in
   let acc = ref init in
-  for i = 0 to Array.length row - 1 do
-    acc := f !acc (Array.unsafe_get row i) (* lint: allow referee-totality -- i < length row by the loop bound; BFS hot path *)
+  for i = g.row.(v - 1) to g.row.(v) - 1 do
+    acc := f !acc (Array.unsafe_get g.col i) (* lint: allow referee-totality -- row offsets lie within col by construction; BFS hot path *)
   done;
   !acc
-
-let neighborhood g v =
-  check g v "neighborhood";
-  g.adj.(v - 1)
 
 let vertices g = List.init g.n (fun i -> i + 1)
 
 let iter_edges g f =
   for u = 1 to g.n do
-    Array.iter (fun v -> if u < v then f u v) g.nbrs.(u - 1)
+    for i = g.row.(u - 1) to g.row.(u) - 1 do
+      let v = g.col.(i) in
+      if u < v then f u v
+    done
   done
 
 let edges g =
@@ -134,11 +252,7 @@ let min_degree g =
 let degree_sequence g =
   List.sort (fun a b -> Stdlib.compare b a) (List.map (degree g) (vertices g))
 
-let equal g h =
-  g.n = h.n
-  &&
-  let rec go i = i >= g.n || (Bitvec.equal g.adj.(i) h.adj.(i) && go (i + 1)) in
-  go 0
+let equal g h = g.n = h.n && g.row = h.row && g.col = h.col
 
 let complement g =
   let b = Builder.create g.n in
@@ -204,6 +318,6 @@ let is_subgraph g h =
   !ok
 
 let pp fmt g =
-  Format.fprintf fmt "@[<h>graph(n=%d, m=%d: " g.n g.m;
+  Format.fprintf fmt "@[<h>graph(n=%d, m=%d: " g.n (size g);
   iter_edges g (fun u v -> Format.fprintf fmt "%d-%d " u v);
   Format.fprintf fmt ")@]"

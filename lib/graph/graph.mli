@@ -3,14 +3,61 @@
     Vertices are identified by integers [1..n], matching the paper's model
     where every node of an [n]-node network carries a unique identifier in
     [{1, ..., n}] ("graph" always means "labelled graph").  Graphs are
-    immutable once built; use {!Builder} or {!of_edges} to construct
-    them.  Self-loops and parallel edges are rejected. *)
+    immutable once built; use {!Builder}, {!of_edges} or the streaming
+    {!Two_pass} builder to construct them.  Self-loops and parallel edges
+    are rejected.
 
-open Refnet_bits
+    A graph is stored in compressed sparse row form: [row] holds [n + 1]
+    prefix offsets and [col] every neighbour identifier, concatenated in
+    vertex order with each run strictly increasing.  Memory is [O(n + m)]
+    words at every order. *)
 
 type t
 
-(** Mutable construction buffer. *)
+(** Two-pass construction for streaming producers: replay the same edge
+    sequence through {!count} and then {!fill}.  Degrees are counted
+    first, offsets become prefix sums, endpoints are written straight into
+    the column array, then each run is sorted ([O(d log d)]) and
+    duplicates (in either orientation) collapse.  Peak memory beyond the
+    final arrays is one array of [n + 1] cursors plus one unsorted run's
+    sort scratch.  Every graph is
+    assembled this way; {!Csr.Builder} is this module. *)
+module Two_pass : sig
+  type graph := t
+  type t
+
+  (** [create n] starts counting degrees for a graph on [1..n].
+      @raise Invalid_argument if [n < 0]. *)
+  val create : int -> t
+
+  (** [count b u v] records one endpoint pair during the first pass.
+      @raise Invalid_argument on loops or out-of-range vertices. *)
+  val count : t -> int -> int -> unit
+
+  (** [freeze b] ends the counting pass: offsets become prefix sums and
+      the column array is allocated.
+      @raise Invalid_argument if called twice. *)
+  val freeze : t -> unit
+
+  (** [fill b u v] records the same pair during the second pass.
+      @raise Invalid_argument if the pair stream diverges from the
+      counting pass (more edges at a vertex than were counted). *)
+  val fill : t -> int -> int -> unit
+
+  (** [finish b] checks both passes agree, sorts each neighbour run and
+      collapses duplicates.  The graph takes over the builder's arrays,
+      so every later call on [b] raises [Invalid_argument].
+      @raise Invalid_argument if some counted slot was never filled. *)
+  val finish : t -> graph
+
+  (** [of_iter n each] runs all four steps: [each pass] must apply [pass]
+      to the same pair sequence both times it is called.
+      @raise Invalid_argument as the steps do. *)
+  val of_iter : int -> ((int -> int -> unit) -> unit) -> graph
+end
+
+(** Mutable construction buffer: an edge set, assembled by {!Two_pass}
+    on {!Builder.build}. *)
 module Builder : sig
   type graph := t
   type t
@@ -53,7 +100,8 @@ val order : t -> int
 (** [size g] is the number of edges. *)
 val size : t -> int
 
-(** [has_edge g u v] is edge membership.
+(** [has_edge g u v] is edge membership, by binary search in the
+    shorter of the two neighbour runs.
     @raise Invalid_argument if a vertex is out of range. *)
 val has_edge : t -> int -> int -> bool
 
@@ -64,25 +112,20 @@ val degree : t -> int -> int
     the local knowledge [{ID(y) | y in N(v)}] a node holds in the model. *)
 val neighbors : t -> int -> int list
 
-(** [neighbors_row g v] is the precomputed increasing neighbour array of
-    [v], shared with the graph — callers must not mutate it.  This is
-    the zero-copy slice {!Graph_source} hands the engine's view
-    builder. *)
-val neighbors_row : t -> int -> int array
+(** [neighbors_slice g v] is [(col, off, len)]: the strictly increasing
+    neighbour run of [v] inside the graph's shared column array — callers
+    must not mutate it.  This is the zero-copy slice {!Graph_source} hands
+    the engine's view builder. *)
+val neighbors_slice : t -> int -> int array * int * int
 
 (** [iter_neighbors g v f] applies [f] to each neighbour of [v] in
-    increasing order, iterating the precomputed adjacency array directly —
-    no list is allocated.  Preferred over {!neighbors} on hot paths. *)
+    increasing order, iterating the column array directly — no list is
+    allocated.  Preferred over {!neighbors} on hot paths. *)
 val iter_neighbors : t -> int -> (int -> unit) -> unit
 
 (** [fold_neighbors g v init f] folds [f] over the neighbours of [v] in
     increasing order, without allocating. *)
 val fold_neighbors : t -> int -> 'a -> ('a -> int -> 'a) -> 'a
-
-(** [neighborhood g v] is the incidence vector of [N(v)]: bit [i - 1] set
-    iff [i] is a neighbour.  The returned vector is shared; callers must
-    not mutate it. *)
-val neighborhood : t -> int -> Bitvec.t
 
 (** [vertices g] is [[1; ...; n]]. *)
 val vertices : t -> int list

@@ -1,87 +1,59 @@
-type t = Materialized of Graph.t | Csr of Csr.t | Implicit of Implicit.t
+type t = Materialized of Graph.t | Implicit of Implicit.t
 
 let of_graph g = Materialized g
-let of_csr c = Csr c
+let of_csr = of_graph
 let of_implicit i = Implicit i
 
 let backend = function
   | Materialized _ -> "materialized"
-  | Csr _ -> "csr"
   | Implicit i -> Implicit.label i
 
 let describe = function
   | Materialized g -> Printf.sprintf "materialized:%d" (Graph.order g)
-  | Csr c -> Printf.sprintf "csr:%d" (Csr.order c)
   | Implicit i -> Implicit.describe i
 
 let order = function
   | Materialized g -> Graph.order g
-  | Csr c -> Csr.order c
   | Implicit i -> Implicit.order i
 
 let size = function
   | Materialized g -> Graph.size g
-  | Csr c -> Csr.size c
   | Implicit i -> Implicit.size i
 
 let degree t v =
   match t with
   | Materialized g -> Graph.degree g v
-  | Csr c -> Csr.degree c v
   | Implicit i -> Implicit.degree i v
 
 let has_edge t u v =
   match t with
   | Materialized g -> Graph.has_edge g u v
-  | Csr c -> Csr.has_edge c u v
   | Implicit i -> Implicit.has_edge i u v
 
 let iter_neighbors t v f =
   match t with
   | Materialized g -> Graph.iter_neighbors g v f
-  | Csr c -> Csr.iter_neighbors c v f
   | Implicit i -> Implicit.iter_neighbors i v f
 
 let fold_neighbors t v init f =
   match t with
   | Materialized g -> Graph.fold_neighbors g v init f
-  | Csr c -> Csr.fold_neighbors c v init f
   | Implicit i -> Implicit.fold_neighbors i v init f
 
 let neighbors t v =
   match t with
   | Materialized g -> Graph.neighbors g v
-  | Csr c -> Csr.neighbors c v
   | Implicit i -> Implicit.neighbors i v
 
 let neighbors_slice t v =
   match t with
-  | Materialized g ->
-    let row = Graph.neighbors_row g v in
-    (row, 0, Array.length row)
-  | Csr c -> Csr.neighbors_slice c v
+  | Materialized g -> Graph.neighbors_slice g v
   | Implicit i ->
     let arr = Implicit.neighbors_array i v in
     (arr, 0, Array.length arr)
 
-let to_csr = function
-  | Materialized g -> Csr.of_graph g
-  | Csr c -> c
-  | Implicit i ->
-    let b = Csr.Builder.create (Implicit.order i) in
-    let each pass =
-      for v = 1 to Implicit.order i do
-        Implicit.iter_neighbors i v (fun u -> if v < u then pass v u)
-      done
-    in
-    each (Csr.Builder.count b);
-    Csr.Builder.freeze b;
-    each (Csr.Builder.fill b);
-    Csr.Builder.finish b
-
 let materialize = function
   | Materialized g -> g
-  | Csr c -> Csr.to_graph c
   | Implicit i -> Implicit.materialize i
 
 let parse ?graph spec =
@@ -90,10 +62,11 @@ let parse ?graph spec =
     match graph with
     | Some g -> Materialized g
     | None -> invalid_arg "Graph_source.parse: materialized source needs a graph")
-  | "csr" -> (
-    match graph with
-    | Some g -> Csr (Csr.of_graph g)
-    | None -> invalid_arg "Graph_source.parse: csr source needs a graph")
   | spec when String.length spec >= 9 && String.sub spec 0 9 = "implicit:" ->
     Implicit (Implicit.parse spec)
-  | spec -> invalid_arg (Printf.sprintf "Graph_source.parse: unknown source %S" spec)
+  | spec ->
+    invalid_arg
+      (Printf.sprintf
+         "Graph_source.parse: unknown source %S (expected materialized or \
+          implicit:<family-spec>)"
+         spec)

@@ -279,12 +279,13 @@ let has_edge t u v =
   check t v "has_edge";
   u <> v && fold_neighbors t u false (fun acc w -> acc || w = v)
 
+(* Two streaming passes over the generator feed the CSR builder
+   directly: no edge set, no edge list. *)
 let materialize t =
-  let b = Graph.Builder.create t.n in
-  for v = 1 to t.n do
-    iter_neighbors t v (fun u -> if v < u then Graph.Builder.add_edge b v u)
-  done;
-  Graph.Builder.build b
+  Csr.Builder.of_iter t.n (fun pass ->
+      for v = 1 to t.n do
+        iter_neighbors t v (fun u -> if v < u then pass v u)
+      done)
 
 (* ---------- naming and parsing ---------- *)
 

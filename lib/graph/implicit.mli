@@ -3,9 +3,10 @@
     An implicit graph stores only its defining parameters — [O(1)] words
     however large [n] is — and answers neighbourhood queries from closed
     forms, so a million-node network costs nothing until its nodes'
-    views are built.  Every family fixes the same labelled graph as its
-    materialized twin in {!Generators} (where one exists), with
-    neighbour runs emitted in strictly increasing order; the random
+    views are built.  This is the one definition of the path, cycle,
+    complete, star, grid and hypercube families: {!Generators}
+    materializes them from here.  Neighbour runs are emitted in strictly
+    increasing order; the random
     families are seed-deterministic, so the same parameters always name
     the same labelled graph on every machine and at every {!Parallel}
     width.
@@ -66,9 +67,8 @@ val neighbors_array : t -> int -> int array
 val neighbors : t -> int -> int list
 val has_edge : t -> int -> int -> bool
 
-(** [materialize t] builds the twin {!Graph.t} (allocates the
-    [n^2]-bit incidence matrix — small [n] only; the equivalence tests
-    use it as the oracle). *)
+(** [materialize t] builds the {!Graph.t}, streaming the generator twice
+    through {!Csr.Builder}: [O(n + m)] words, no edge-set intermediate. *)
 val materialize : t -> Graph.t
 
 (** [label t] is the family tag recorded in trace/metrics labels:

@@ -84,10 +84,10 @@ let render_count (nodes, degsum) =
 let specs =
   [ "count"; "forest"; "degeneracy:<k>"; "bounded:<d>"; "sketch:<seed>" ]
 
-(* Session-size caps.  The bound is whichever bites first: referee state
-   (the degeneracy referee keeps O(n k) power-sum words, but builds its
-   output in a Graph.Builder, a dense n^2-bit adjacency), message size,
-   or just sanity for a single one-round session. *)
+(* Session-size caps.  The bound is whichever bites first: referee work
+   (the degeneracy referee keeps O(n k) power-sum words and decodes every
+   row in its finish, tens of microseconds per node), message size, or
+   just sanity for a single one-round session. *)
 let cap_count = 10_000_000
 let cap_forest = 1_000_000
 let cap_degeneracy = 4_096

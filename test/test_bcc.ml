@@ -347,14 +347,13 @@ let test_budget_validated_at_entry () =
 let transcript_eq = Alcotest.testable (fun fmt (_ : Core.Bcc.transcript) -> Format.fprintf fmt "<transcript>") ( = )
 
 let test_transcript_equality () =
-  (* Same labelled graph through all three backends, every chunk size, a
+  (* Same labelled graph through both backends, every chunk size, a
      wider domain pool: bit-identical transcript, same output. *)
   let fam = Implicit.parse "cycle:96" in
   let sources =
     [
       ("implicit", Graph_source.of_implicit fam);
       ("materialized", Graph_source.of_graph (Implicit.materialize fam));
-      ("csr", Graph_source.of_csr (Graph_source.to_csr (Graph_source.of_implicit fam)));
     ]
   in
   let p = Core.Bcc_connectivity.protocol ~rounds:3 ~bandwidth:1 () in

@@ -214,7 +214,6 @@ let backends spec =
   let g = Implicit.materialize imp in
   [
     ("materialized", Graph_source.of_graph g);
-    ("csr", Graph_source.of_csr (Csr.of_graph g));
     ("implicit", Graph_source.of_implicit imp);
   ]
 
@@ -329,6 +328,41 @@ let test_cli_chunk_below_one_is_usage_error () =
       "bcc --source implicit:cycle -n 16 --chunk 0";
     ]
 
+(* The retired [csr] backend spec: both commands that take [--source]
+   stop before running, with one error line (the top-level catch's exit
+   2) naming the accepted specs, and print nothing to stdout. *)
+let test_cli_rejects_csr_source () =
+  let refnet =
+    Filename.concat (Filename.dirname Sys.executable_name) (Filename.concat ".." "bin/refnet.exe")
+  in
+  let out = Filename.temp_file "refnet_cli" ".out" and err = Filename.temp_file "refnet_cli" ".err" in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ out; err ])
+    (fun () ->
+      List.iter
+        (fun args ->
+          let code =
+            Sys.command
+              (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote refnet) args (Filename.quote out)
+                 (Filename.quote err))
+          in
+          Alcotest.(check int) (args ^ ": exit") 2 code;
+          Alcotest.(check string) (args ^ ": no output") "" (read out);
+          match String.split_on_char '\n' (String.trim (read err)) with
+          | [ line ] ->
+            let has needle =
+              let n = String.length needle in
+              let rec go i =
+                i + n <= String.length line && (String.sub line i n = needle || go (i + 1))
+              in
+              go 0
+            in
+            Alcotest.(check bool) (line ^ ": names the accepted specs") true
+              (has "materialized" && has "implicit:")
+          | lines -> Alcotest.failf "%s: expected one error line, got %d" args (List.length lines))
+        [ "sweep --sizes 8 --source csr"; "bcc --source csr -n 16" ])
+
 let () =
   Alcotest.run "engine"
     [
@@ -348,4 +382,6 @@ let () =
           Alcotest.test_case "below 1 is rejected" `Quick test_chunk_below_one_rejected;
           Alcotest.test_case "CLI rejects below 1" `Quick test_cli_chunk_below_one_is_usage_error;
         ] );
+      ( "source",
+        [ Alcotest.test_case "CLI rejects the csr spec" `Quick test_cli_rejects_csr_source ] );
     ]

@@ -110,8 +110,7 @@ let test_file_roundtrip () =
     (fun g ->
       with_temp_file None (fun path ->
           Gio.to_edge_list_file path g;
-          Alcotest.check graph "graph_of_file" g (Gio.graph_of_file path);
-          Alcotest.check graph "csr_of_file" g (Csr.to_graph (Gio.csr_of_file path))))
+          Alcotest.check graph "graph_of_file" g (Gio.graph_of_file path)))
     [ Generators.grid 5 7; Generators.petersen (); Graph.empty 4 ]
 
 let test_file_blank_lines () =
@@ -128,9 +127,7 @@ let test_file_foreign_whitespace () =
   List.iter
     (fun (label, contents) ->
       with_temp_file (Some contents) (fun path ->
-          Alcotest.check graph (label ^ " (file)") expected (Gio.graph_of_file path);
-          Alcotest.check graph (label ^ " (csr)") expected
-            (Csr.to_graph (Gio.csr_of_file path)));
+          Alcotest.check graph (label ^ " (file)") expected (Gio.graph_of_file path));
       Alcotest.check graph (label ^ " (string)") expected (Gio.of_edge_list contents))
     [
       ("crlf", "3 2\r\n1 2\r\n2 3\r\n");
@@ -157,21 +154,17 @@ let test_file_errors_carry_line_numbers () =
   List.iter
     (fun (contents, needle) ->
       with_temp_file (Some contents) (fun path ->
-          (* Both streaming consumers surface the same diagnostics. *)
-          expect_invalid_with ~needle (fun () -> ignore (Gio.graph_of_file path));
-          expect_invalid_with ~needle (fun () -> ignore (Gio.csr_of_file path))))
+          expect_invalid_with ~needle (fun () -> ignore (Gio.graph_of_file path))))
     cases
 
-let test_file_csr_streaming_agrees () =
-  (* The two streaming loaders and the in-memory parser agree on a
+let test_file_loader_agrees () =
+  (* The streaming file loader and the in-memory parser agree on a
      random graph's file. *)
   let g = Generators.gnp (Random.State.make [| 3; 14 |]) 60 0.1 in
   with_temp_file None (fun path ->
       Gio.to_edge_list_file path g;
       let via_string = Gio.of_edge_list (Gio.to_edge_list g) in
-      Alcotest.check graph "string vs file" via_string (Gio.graph_of_file path);
-      Alcotest.check graph "file vs csr file" (Gio.graph_of_file path)
-        (Csr.to_graph (Gio.csr_of_file path)))
+      Alcotest.check graph "string vs file" via_string (Gio.graph_of_file path))
 
 let () =
   Alcotest.run "gio"
@@ -196,7 +189,7 @@ let () =
           Alcotest.test_case "foreign whitespace" `Quick test_file_foreign_whitespace;
           Alcotest.test_case "errors carry line numbers" `Quick
             test_file_errors_carry_line_numbers;
-          Alcotest.test_case "csr loader agreement" `Quick test_file_csr_streaming_agrees;
+          Alcotest.test_case "loader agreement" `Quick test_file_loader_agrees;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -1,5 +1,4 @@
 open Refnet_graph
-open Refnet_bits
 
 let graph = Alcotest.testable (fun fmt g -> Graph.pp fmt g) Graph.equal
 
@@ -39,10 +38,6 @@ let test_builder_incremental () =
 let test_edges_order () =
   let g = Graph.of_edges 4 [ (3, 4); (1, 3); (1, 2) ] in
   Alcotest.(check (list (pair int int))) "lex order" [ (1, 2); (1, 3); (3, 4) ] (Graph.edges g)
-
-let test_neighborhood_bitvec () =
-  let g = Graph.of_edges 5 [ (2, 4); (2, 5) ] in
-  Alcotest.(check (list int)) "incidence" [ 3; 4 ] (Bitvec.to_list (Graph.neighborhood g 2))
 
 let test_degrees () =
   let g = Graph.of_edges 5 [ (1, 2); (1, 3); (1, 4); (2, 3) ] in
@@ -148,6 +143,165 @@ let prop_neighbors_symmetric =
         (fun v -> List.for_all (fun u -> List.mem v (Graph.neighbors g u)) (Graph.neighbors g v))
         (Graph.vertices g))
 
+(* ---------- builders against an edge-set model ---------- *)
+
+(* Random add / remove / has_edge sequences over ids in [-1, n + 1], so
+   loops, duplicates in both orientations and out-of-range ids all
+   occur.  Graph.Builder is checked against the model with removals;
+   Graph.of_edges and the two-pass Csr.Builder against the set of every
+   accepted insertion.  The model is a sorted list of pairs (u < v). *)
+type op = Add of int * int | Remove of int * int | Has of int * int
+
+let gen_ops =
+  QCheck2.Gen.(
+    bind (int_range 0 16) (fun n ->
+        let id = int_range (-1) (n + 1) in
+        map
+          (fun ops -> (n, ops))
+          (list_size (int_range 0 80)
+             (map3
+                (fun kind u v ->
+                  match kind with 0 | 1 | 2 -> Add (u, v) | 3 -> Remove (u, v) | _ -> Has (u, v))
+                (int_range 0 4) id id))))
+
+let print_ops (n, ops) =
+  Printf.sprintf "n=%d: %s" n
+    (String.concat " "
+       (List.map
+          (function
+            | Add (u, v) -> Printf.sprintf "+%d-%d" u v
+            | Remove (u, v) -> Printf.sprintf "-%d-%d" u v
+            | Has (u, v) -> Printf.sprintf "?%d-%d" u v)
+          ops))
+
+let raises f = match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* [g] holds exactly the model's edges, through every accessor. *)
+let matches_model n model g =
+  let nbrs v =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (a, b) -> if a = v then Some b else if b = v then Some a else None)
+         model)
+  in
+  let slice v =
+    let arr, off, len = Graph.neighbors_slice g v in
+    Array.to_list (Array.sub arr off len)
+  in
+  Graph.order g = n
+  && Graph.size g = List.length model
+  && Graph.edges g = model
+  && List.for_all
+       (fun v ->
+         let expected = nbrs v in
+         Graph.neighbors g v = expected
+         && slice v = expected
+         && Graph.degree g v = List.length expected
+         && List.for_all
+              (fun u -> Graph.has_edge g u v = (u <> v && List.mem u expected))
+              (List.init n (fun i -> i + 1)))
+       (List.init n (fun i -> i + 1))
+
+let prop_builders_match_model =
+  QCheck2.Test.make ~name:"agree with an edge-set model" ~count:300 ~print:print_ops
+    gen_ops (fun (n, ops) ->
+      let in_range v = v >= 1 && v <= n in
+      let norm u v = (min u v, max u v) in
+      let b = Graph.Builder.create n in
+      let model = ref [] and added = ref [] and raw = ref [] in
+      let step_ok = function
+        | Add (u, v) ->
+          raw := (u, v) :: !raw;
+          let bad = (not (in_range u)) || (not (in_range v)) || u = v in
+          if bad then raises (fun () -> Graph.Builder.add_edge b u v)
+          else begin
+            Graph.Builder.add_edge b u v;
+            model := List.sort_uniq compare (norm u v :: !model);
+            added := (u, v) :: !added;
+            true
+          end
+        | Remove (u, v) ->
+          if not (in_range u && in_range v) then raises (fun () -> Graph.Builder.remove_edge b u v)
+          else begin
+            Graph.Builder.remove_edge b u v;
+            model := List.filter (fun e -> e <> norm u v) !model;
+            true
+          end
+        | Has (u, v) ->
+          if not (in_range u && in_range v) then raises (fun () -> Graph.Builder.has_edge b u v)
+          else Graph.Builder.has_edge b u v = List.mem (norm u v) !model
+      in
+      let steps_ok = List.for_all step_ok ops in
+      let added_model = List.sort_uniq compare (List.map (fun (u, v) -> norm u v) !added) in
+      let two_pass edges =
+        let c = Csr.Builder.create n in
+        List.iter (fun (u, v) -> Csr.Builder.count c u v) edges;
+        Csr.Builder.freeze c;
+        List.iter (fun (u, v) -> Csr.Builder.fill c u v) edges;
+        Csr.Builder.finish c
+      in
+      let g_builder = Graph.Builder.build b in
+      let g_edges = Graph.of_edges n !added and g_stream = two_pass !added in
+      (* A list holding a rejected pair is rejected by both list builders. *)
+      let rejects_bad =
+        List.length !raw = List.length !added
+        || (raises (fun () -> Graph.of_edges n !raw) && raises (fun () -> two_pass !raw))
+      in
+      steps_ok && rejects_bad
+      && matches_model n !model g_builder
+      && matches_model n added_model g_edges
+      && matches_model n added_model g_stream
+      && Graph.equal g_edges g_stream
+      && Graph.equal g_builder g_edges = (!model = added_model)
+      && Graph.equal g_builder (Graph.of_edges n !model))
+
+(* A star whose leaves arrive shuffled: every run sort is O(d log d), so
+   a 2 * 10^5-leaf hub builds well within a second either way. *)
+let test_shuffled_star_builds_fast () =
+  let leaves = 200_000 in
+  let n = leaves + 1 in
+  let order = Array.init leaves (fun i -> i + 2) in
+  let rng = Random.State.make [| 14 |] in
+  for i = leaves - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- t
+  done;
+  let timed name build =
+    let t0 = Sys.time () in
+    let g = build () in
+    let dt = Sys.time () -. t0 in
+    Alcotest.(check int) (name ^ ": hub degree") leaves (Graph.degree g 1);
+    Alcotest.(check bool) (name ^ ": hub run sorted") true (Graph.neighbors g 1 = List.init leaves (fun i -> i + 2));
+    if dt >= 1.0 then Alcotest.failf "%s: %.2f s to build a shuffled %d-leaf star" name dt leaves
+  in
+  timed "Csr.Builder" (fun () ->
+      let c = Csr.Builder.create n in
+      Array.iter (fun l -> Csr.Builder.count c l 1) order;
+      Csr.Builder.freeze c;
+      Array.iter (fun l -> Csr.Builder.fill c l 1) order;
+      Csr.Builder.finish c);
+  timed "Graph.Builder" (fun () ->
+      let b = Graph.Builder.create n in
+      Array.iter (fun l -> Graph.Builder.add_edge b 1 l) order;
+      Graph.Builder.build b)
+
+(* Building is O(n + m) words: a 10^5-vertex path allocates a few MB,
+   where an n^2-bit adjacency would take about 1.25 GB. *)
+let test_builder_allocation () =
+  let n = 100_000 in
+  Gc.full_major ();
+  let a0 = Gc.allocated_bytes () in
+  let b = Graph.Builder.create n in
+  for v = 1 to n - 1 do
+    Graph.Builder.add_edge b v (v + 1)
+  done;
+  let g = Graph.Builder.build b in
+  let mb = (Gc.allocated_bytes () -. a0) /. 1048576.0 in
+  Alcotest.(check int) "size" (n - 1) (Graph.size g);
+  if mb >= 64.0 then Alcotest.failf "Graph.Builder on a %d-vertex path allocated %.1f MB" n mb
+
 let () =
   Alcotest.run "graph"
     [
@@ -158,7 +312,6 @@ let () =
           Alcotest.test_case "guards" `Quick test_guards;
           Alcotest.test_case "builder snapshots" `Quick test_builder_incremental;
           Alcotest.test_case "edges order" `Quick test_edges_order;
-          Alcotest.test_case "neighborhood bitvec" `Quick test_neighborhood_bitvec;
           Alcotest.test_case "degrees" `Quick test_degrees;
           Alcotest.test_case "equality" `Quick test_equal;
           Alcotest.test_case "complement" `Quick test_complement;
@@ -168,6 +321,13 @@ let () =
           Alcotest.test_case "disjoint union" `Quick test_disjoint_union;
           Alcotest.test_case "add vertices/edges" `Quick test_add_vertices_edges;
           Alcotest.test_case "is_subgraph" `Quick test_is_subgraph;
+        ] );
+      ( "builders",
+        [
+          QCheck_alcotest.to_alcotest prop_builders_match_model;
+          Alcotest.test_case "shuffled 2x10^5-leaf star under 1 s" `Quick
+            test_shuffled_star_builds_fast;
+          Alcotest.test_case "10^5-vertex path under 64 MB" `Quick test_builder_allocation;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

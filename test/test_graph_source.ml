@@ -1,7 +1,7 @@
-(* Graph_source substrate: implicit families vs their materialized
-   twins, CSR round-trips, and the backend-equivalence contract — the
-   same labelled graph yields a bit-identical transcript whichever
-   backend built the views, at any pool width and chunk size. *)
+(* Graph_source substrate: implicit family oracles, the streaming CSR
+   builder, and the backend-equivalence contract — the same labelled
+   graph yields a bit-identical transcript whichever backend built the
+   views, at any pool width and chunk size. *)
 
 open Refnet_graph
 
@@ -12,28 +12,16 @@ let expect_invalid name f =
   | _ -> Alcotest.failf "%s: expected Invalid_argument" name
   | exception Invalid_argument _ -> ()
 
+let contains ~needle s =
+  let n = String.length needle and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
+  go 0
+
 (* ---------- implicit families ---------- *)
 
-let test_implicit_twins () =
-  List.iter
-    (fun (spec, twin) ->
-      Alcotest.check graph spec twin (Implicit.materialize (Implicit.parse spec)))
-    [
-      ("path:17", Generators.path 17);
-      ("path:1", Generators.path 1);
-      ("cycle:9", Generators.cycle 9);
-      ("complete:8", Generators.complete 8);
-      ("star:10", Generators.star 10);
-      ("grid:4x6", Generators.grid 4 6);
-      ("grid:1x5", Generators.grid 1 5);
-      ("hypercube:4", Generators.hypercube 4);
-      ("hypercube:0", Generators.hypercube 0);
-      ("implicit:path:5", Generators.path 5);
-    ]
-
-(* Every family's query oracles must agree with the materialized twin:
-   neighbours (strictly increasing), degree, has_edge, closed-form
-   size. *)
+(* Every family's query oracles must agree with its materialization:
+   neighbours (strictly increasing and symmetric), degree, has_edge,
+   closed-form size. *)
 let test_implicit_oracles () =
   List.iter
     (fun spec ->
@@ -123,40 +111,42 @@ let test_parse_family_sizes () =
 
 (* ---------- CSR ---------- *)
 
-let test_csr_of_graph_roundtrip () =
-  let r = Random.State.make [| 11 |] in
-  List.iter
-    (fun g ->
-      let c = Csr.of_graph g in
-      Alcotest.check graph "to_graph" g (Csr.to_graph c);
-      Alcotest.(check int) "size" (Graph.size g) (Csr.size c);
-      List.iter
-        (fun v ->
-          Alcotest.(check (list int)) "neighbors" (Graph.neighbors g v) (Csr.neighbors c v);
-          Alcotest.(check int) "degree" (Graph.degree g v) (Csr.degree c v))
-        (Graph.vertices g);
-      let n = Graph.order g in
-      for u = 1 to n do
-        for v = 1 to n do
-          Alcotest.(check bool) "has_edge" (Graph.has_edge g u v) (Csr.has_edge c u v)
-        done
-      done)
-    [
-      Generators.gnp r 40 0.15;
-      Generators.petersen ();
-      Graph.empty 6;
-      Graph.empty 0;
-      Generators.star 17;
-    ]
+let csr_of_edges n edges =
+  let b = Csr.Builder.create n in
+  List.iter (fun (u, v) -> Csr.Builder.count b u v) edges;
+  Csr.Builder.freeze b;
+  List.iter (fun (u, v) -> Csr.Builder.fill b u v) edges;
+  Csr.Builder.finish b
 
 let test_csr_of_edges () =
   (* Duplicates (in either orientation) collapse to one edge. *)
-  let c = Csr.of_edges 4 [ (1, 2); (2, 1); (3, 4); (1, 2); (4, 3) ] in
-  Alcotest.check graph "dedupe" (Graph.of_edges 4 [ (1, 2); (3, 4) ]) (Csr.to_graph c);
-  Alcotest.(check int) "size after dedupe" 2 (Csr.size c);
-  expect_invalid "self-loop" (fun () -> Csr.of_edges 3 [ (1, 1) ]);
-  expect_invalid "out of range" (fun () -> Csr.of_edges 3 [ (1, 4) ]);
-  expect_invalid "negative order" (fun () -> Csr.of_edges (-1) [])
+  let c = csr_of_edges 4 [ (1, 2); (2, 1); (3, 4); (1, 2); (4, 3) ] in
+  Alcotest.check graph "dedupe" (Graph.of_edges 4 [ (1, 2); (3, 4) ]) c;
+  Alcotest.(check int) "size after dedupe" 2 (Graph.size c);
+  expect_invalid "self-loop" (fun () -> csr_of_edges 3 [ (1, 1) ]);
+  expect_invalid "out of range" (fun () -> csr_of_edges 3 [ (1, 4) ]);
+  expect_invalid "negative order" (fun () -> csr_of_edges (-1) []);
+  (* The fill pass must replay the counting pass. *)
+  expect_invalid "fill beyond count" (fun () ->
+      let b = Csr.Builder.create 3 in
+      Csr.Builder.count b 1 2;
+      Csr.Builder.freeze b;
+      Csr.Builder.fill b 1 2;
+      Csr.Builder.fill b 1 2);
+  expect_invalid "fill short of count" (fun () ->
+      let b = Csr.Builder.create 3 in
+      Csr.Builder.count b 1 2;
+      Csr.Builder.freeze b;
+      Csr.Builder.finish b);
+  (* A finished builder is retired: its arrays belong to the graph. *)
+  let b = Csr.Builder.create 3 in
+  Csr.Builder.count b 1 2;
+  Csr.Builder.freeze b;
+  Csr.Builder.fill b 1 2;
+  let g = Csr.Builder.finish b in
+  expect_invalid "fill after finish" (fun () -> Csr.Builder.fill b 2 3);
+  expect_invalid "finish twice" (fun () -> Csr.Builder.finish b);
+  Alcotest.check graph "graph unharmed" (Graph.of_edges 3 [ (1, 2) ]) g
 
 (* ---------- Graph_source front door ---------- *)
 
@@ -164,11 +154,22 @@ let test_source_parse () =
   let g = Generators.path 5 in
   let backend spec = Graph_source.backend (Graph_source.parse ~graph:g spec) in
   Alcotest.(check string) "materialized" "materialized" (backend "materialized");
-  Alcotest.(check string) "csr" "csr" (backend "csr");
   Alcotest.(check string) "implicit" "implicit:path"
     (Graph_source.backend (Graph_source.parse "implicit:path:9"));
-  expect_invalid "csr needs a graph" (fun () -> Graph_source.parse "csr");
-  expect_invalid "unknown backend" (fun () -> Graph_source.parse ~graph:g "adjacency")
+  expect_invalid "materialized needs a graph" (fun () -> Graph_source.parse "materialized");
+  expect_invalid "unknown backend" (fun () -> Graph_source.parse ~graph:g "adjacency");
+  (* The retired csr spec is an unknown spec whose error names the
+     accepted ones. *)
+  match Graph_source.parse ~graph:g "csr" with
+  | _ -> Alcotest.fail "csr: expected Invalid_argument"
+  | exception Invalid_argument msg ->
+    List.iter
+      (fun needle ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S names %S" msg needle)
+          true
+          (contains ~needle msg))
+      [ "\"csr\""; "materialized"; "implicit:" ]
 
 let test_source_queries_agree () =
   let imp = Implicit.parse "regular:18:4:3" in
@@ -176,9 +177,7 @@ let test_source_queries_agree () =
   let sources =
     [
       ("materialized", Graph_source.of_graph g);
-      ("csr", Graph_source.of_csr (Csr.of_graph g));
       ("implicit", Graph_source.of_implicit imp);
-      ("to_csr of implicit", Graph_source.of_csr (Graph_source.to_csr (Graph_source.of_implicit imp)));
     ]
   in
   List.iter
@@ -213,7 +212,6 @@ let sources_of imp =
   ( g,
     [
       ("materialized", Graph_source.of_graph g);
-      ("csr", Graph_source.of_csr (Csr.of_graph g));
       ("implicit", Graph_source.of_implicit imp);
     ] )
 
@@ -340,7 +338,6 @@ let () =
     [
       ( "implicit",
         [
-          Alcotest.test_case "materialized twins" `Quick test_implicit_twins;
           Alcotest.test_case "oracles vs twins" `Quick test_implicit_oracles;
           Alcotest.test_case "regular family" `Quick test_regular_family;
           Alcotest.test_case "degenerate family" `Quick test_degenerate_family;
@@ -349,7 +346,6 @@ let () =
         ] );
       ( "csr",
         [
-          Alcotest.test_case "of_graph roundtrip" `Quick test_csr_of_graph_roundtrip;
           Alcotest.test_case "of_edges dedupe + errors" `Quick test_csr_of_edges;
         ] );
       ( "source",
